@@ -44,7 +44,7 @@ class Ball:
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0.0:
-            raise InvalidConfigurationError("ball radius must be positive")
+            raise InvalidConfigurationError("radius must be positive")
 
     @property
     def n(self) -> int:
@@ -196,12 +196,16 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -
     return center + z / norms[:, None] * radii[:, None]
 
 
+def _sample_count(n: int, samples_per_axis: int) -> int:
+    """How many points :func:`_sample_points` draws in dimension ``n``."""
+    return samples_per_axis if n == 1 else min(samples_per_axis**n, SAMPLE_CAP)
+
+
 def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, seed: int) -> np.ndarray:
+    count = _sample_count(problem.n, samples_per_axis)
     if problem.n == 1:
         x = ball.center[0]
-        grid = np.linspace(x - ball.radius, x + ball.radius, samples_per_axis)
-        return grid[:, None]
-    count = min(samples_per_axis**problem.n, SAMPLE_CAP)
+        return np.linspace(x - ball.radius, x + ball.radius, count)[:, None]
     return sample_ball(ball.center, ball.radius, count, seed)
 
 
@@ -237,6 +241,21 @@ def domination_constant_sampled(
     return cfg.safety * best
 
 
+def check_method(problem: ResidualProblem, method: str) -> None:
+    """Raise InvalidMethodError unless ``method`` can certify ``problem``.
+
+    ``closed_form_quadratic`` is only valid for the quadratic built-in family.
+    """
+    if method not in (METHOD_CLOSED_FORM, METHOD_SAMPLED):
+        raise InvalidMethodError(
+            f"unknown method {method!r}, expected {METHOD_CLOSED_FORM!r} or {METHOD_SAMPLED!r}"
+        )
+    if method == METHOD_CLOSED_FORM and not problem.is_quadratic:
+        raise InvalidMethodError(
+            f"method {method!r} requires the quadratic problem, got {problem.name!r}"
+        )
+
+
 def certify(
     problem: ResidualProblem,
     ball: Ball,
@@ -245,32 +264,25 @@ def certify(
 ) -> Certificate:
     """Check both ball conditions and report the verdict with slack.
 
-    ``closed_form_quadratic`` is only valid for the quadratic built-in
-    family.  Ties lhs == rhs count as passed.
+    ``method`` must pass :func:`check_method`.  Ties lhs == rhs count as
+    passed.
     """
     if ball.n != problem.n:
         raise InputShapeError(
             f"ball center has dimension {ball.n}, problem expects {problem.n}"
         )
+    check_method(problem, method)
     if method == METHOD_CLOSED_FORM:
-        if not problem.is_quadratic:
-            raise InvalidMethodError(
-                f"closed-form constant requires a quadratic problem, got {problem.name!r}"
-            )
         c = quadratic_domination_constant(
             problem.params["lambda"], ball.center[0], ball.radius
         )
         count = 0
-    elif method == METHOD_SAMPLED:
+    else:
         cfg = sampling or SamplingConfig()
         c = domination_constant_sampled(
             problem, ball, cfg.samples_per_axis, cfg.residual_floor, cfg.safety, cfg.seed
         )
-        count = cfg.samples_per_axis if problem.n == 1 else min(
-            cfg.samples_per_axis**problem.n, SAMPLE_CAP
-        )
-    else:
-        raise InvalidMethodError(f"unknown certificate method {method!r}")
+        count = _sample_count(problem.n, cfg.samples_per_axis)
     lhs = residual_norm(problem, ball.center)
     rhs = ball.radius * c
     return Certificate(

@@ -1,8 +1,12 @@
 """Command-line frontend: certify, search, solve, selftest.
 
 One run is driven by one JSON config file and produces one JSON report (plus
-optional CSV artifacts).  Exit codes: 0 = ran to completion (verdicts may
-still be FAIL), 1 = selftest failure, 2 = config error, 3 = runtime error.
+optional CSV artifacts); certify, search and solve share one pipeline,
+:func:`run_command`.  Value ranges are checked by the constructors the values
+go to (``make_bvp``, ``Ball``, ``SamplingConfig``, ``build_mu_grid``, ...).
+Exit codes: 0 = ran to completion (verdicts may still be FAIL), 1 = selftest
+failure, 2 = config error (including out-of-range values and any NaN or
+infinite number; caught before any stage runs), 3 = runtime error.
 
 Config file schema (defaults in parentheses):
 
@@ -32,33 +36,33 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import report as report_io
-from .certificate import (
-    METHOD_CLOSED_FORM,
-    METHOD_SAMPLED,
-    Ball,
-    SamplingConfig,
-    certify,
-)
+from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method
 from .descent import DescentConfig, solve, verify_solution
-from .exceptions import ConfigError, InvalidConfigurationError, ZerocertError
+from .exceptions import ConfigError, InvalidConfigurationError, InvalidMethodError, ZerocertError
 from .functional import check_gradient, residual_norm
 from .problems import ResidualProblem, make_bvp, make_quadratic
 from .selftest import run_selftest
-from .transforms import pull_back_zero, recover_problem_independent, scale, search_mu
+from .transforms import (
+    build_mu_grid,
+    pull_back_zero,
+    recover_problem_independent,
+    scale,
+    search_mu,
+)
 
 EXIT_OK = 0
 EXIT_SELFTEST_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_RUNTIME_ERROR = 3
-
-FORCING_NAMES = ("zero", "sin_pi", "manufactured_sin")
 
 _KINDS = {
     "number": (int, float),
@@ -85,13 +89,25 @@ def _get(section: dict, key: str, path: str, kind: str, required: bool = True, d
     return value
 
 
+def _present(section: dict, path: str, kinds: dict) -> dict:
+    """The keys of ``kinds`` that ``section`` sets, type-checked; the rest keep their defaults."""
+    return {key: _get(section, key, path, kind) for key, kind in kinds.items() if key in section}
+
+
+def _finite_number(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {token} is not allowed")
+    return value
+
+
 def load_config(path: str | Path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -99,24 +115,29 @@ def load_config(path: str | Path) -> dict:
     return cfg
 
 
+@contextmanager
+def _section(name: str):
+    """Report a constructor's rejection of a value as a config error in ``name``."""
+    try:
+        yield
+    except (InvalidConfigurationError, InvalidMethodError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
 def build_problem(cfg: dict) -> ResidualProblem:
     pcfg = _get(cfg, "problem", "", "dict")
     name = _get(pcfg, "name", "problem", "string")
-    if name == "quadratic":
-        lam = _get(pcfg, "lambda", "problem", "number")
-        return make_quadratic(float(lam))
-    if name == "bvp":
-        grid_points = _get(pcfg, "grid_points", "problem", "int")
-        gamma = _get(pcfg, "gamma", "problem", "number", required=False, default=0.0)
-        forcing = _get(pcfg, "forcing", "problem", "string", required=False, default="zero")
-        weighted = _get(pcfg, "quadrature_weights", "problem", "bool", required=False, default=False)
-        if forcing not in FORCING_NAMES:
-            raise ConfigError(
-                f"problem.forcing: unknown forcing {forcing!r}, expected one of {FORCING_NAMES}"
+    with _section("problem"):
+        if name == "quadratic":
+            return make_quadratic(float(_get(pcfg, "lambda", "problem", "number")))
+        if name == "bvp":
+            return make_bvp(
+                _get(pcfg, "grid_points", "problem", "int"),
+                float(_get(pcfg, "gamma", "problem", "number", required=False, default=0.0)),
+                _get(pcfg, "forcing", "problem", "string", required=False, default="zero"),
+                quadrature_weights=_get(pcfg, "quadrature_weights", "problem", "bool",
+                                        required=False, default=False),
             )
-        if grid_points < 2:
-            raise ConfigError("problem.grid_points: must be at least 2")
-        return make_bvp(grid_points, float(gamma), forcing, quadrature_weights=weighted)
     raise ConfigError(f"problem.name: unknown problem {name!r}")
 
 
@@ -131,32 +152,17 @@ def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
             f"ball.center: expected {problem.n} entries for problem "
             f"{problem.name!r}, got {len(center)}"
         )
-    if not (isinstance(radius, (int, float)) and radius > 0):
-        raise ConfigError("ball.radius: must be a positive number")
-    return Ball(np.asarray(center, dtype=float), float(radius))
+    with _section("ball"):
+        return Ball(np.asarray(center, dtype=float), float(radius))
 
 
 def build_certificate_settings(cfg: dict, problem: ResidualProblem, seed: int):
     ccfg = _get(cfg, "certificate", "", "dict", required=False, default={})
     method = _get(ccfg, "method", "certificate", "string", required=False, default=METHOD_SAMPLED)
-    if method not in (METHOD_CLOSED_FORM, METHOD_SAMPLED):
-        raise ConfigError(f"certificate.method: unknown method {method!r}")
-    if method == METHOD_CLOSED_FORM and not problem.is_quadratic:
-        raise ConfigError(
-            "certificate.method: closed_form_quadratic requires the quadratic problem"
-        )
-    try:
-        sampling = SamplingConfig(
-            samples_per_axis=_get(ccfg, "samples_per_axis", "certificate", "int",
-                                  required=False, default=1001),
-            residual_floor=_get(ccfg, "residual_floor", "certificate", "number",
-                                required=False, default=1e-12),
-            safety=_get(ccfg, "safety", "certificate", "number",
-                        required=False, default=0.9),
-            seed=seed,
-        )
-    except InvalidConfigurationError as exc:
-        raise ConfigError(f"certificate: {exc}") from exc
+    with _section("certificate"):
+        check_method(problem, method)
+        sampling = SamplingConfig(seed=seed, **_present(ccfg, "certificate", {
+            "samples_per_axis": "int", "residual_floor": "number", "safety": "number"}))
     return method, sampling
 
 
@@ -167,36 +173,24 @@ def build_transform_settings(cfg: dict, required: bool):
     family = _get(tcfg, "family", "transform", "string", required=False, default="scale")
     if family != "scale":
         raise ConfigError(f"transform.family: only 'scale' is searchable, got {family!r}")
-    mu_min = float(_get(tcfg, "mu_min", "transform", "number"))
-    mu_max = float(_get(tcfg, "mu_max", "transform", "number"))
-    grid_size = _get(tcfg, "grid_size", "transform", "int", required=False, default=51)
-    spacing = _get(tcfg, "spacing", "transform", "string", required=False, default="linear")
-    if spacing not in ("linear", "geometric"):
-        raise ConfigError(f"transform.spacing: expected 'linear' or 'geometric', got {spacing!r}")
-    if grid_size < 1:
-        raise ConfigError("transform.grid_size: must be at least 1")
-    return {"mu_range": (mu_min, mu_max), "grid_size": grid_size, "spacing": spacing}
+    settings = {
+        "mu_range": (float(_get(tcfg, "mu_min", "transform", "number")),
+                     float(_get(tcfg, "mu_max", "transform", "number"))),
+        "grid_size": _get(tcfg, "grid_size", "transform", "int", required=False, default=51),
+        "spacing": _get(tcfg, "spacing", "transform", "string", required=False, default="linear"),
+    }
+    with _section("transform"):
+        build_mu_grid(**settings)
+    return settings
 
 
 def build_descent_config(cfg: dict) -> DescentConfig:
     dcfg = _get(cfg, "descent", "", "dict", required=False, default={})
-    kwargs = {}
-    for key, kind in (
-        ("residual_tolerance", "number"),
-        ("max_iterations", "int"),
-        ("initial_step", "number"),
-        ("backtrack_factor", "number"),
-        ("sufficient_decrease", "number"),
-        ("ball_policy", "string"),
-        ("direction", "string"),
-    ):
-        value = _get(dcfg, key, "descent", kind, required=False)
-        if value is not None:
-            kwargs[key] = value
-    try:
-        return DescentConfig(**kwargs)
-    except InvalidConfigurationError as exc:
-        raise ConfigError(f"descent: {exc}") from exc
+    with _section("descent"):
+        return DescentConfig(**_present(dcfg, "descent", {
+            "residual_tolerance": "number", "max_iterations": "int", "initial_step": "number",
+            "backtrack_factor": "number", "sufficient_decrease": "number",
+            "ball_policy": "string", "direction": "string"}))
 
 
 def _resolve_seed(cfg: dict, args) -> int:
@@ -241,132 +235,70 @@ def _print_point(label: str, u: np.ndarray) -> str:
     return f"{label}=<{len(u)}-dim vector, norm={_fmt(float(np.linalg.norm(u)))}>"
 
 
-def cmd_certify(cfg: dict, args) -> dict:
+def run_command(command: str, cfg: dict, args) -> dict:
+    """Run the stages of the pipeline that ``command`` asks for; return the report.
+
+    Every setting is validated before any stage runs.  The stages, in order:
+    the certificate (certify; solve with a ``certificate`` block), the mu
+    search (search; solve with a ``transform`` block) and descent (solve),
+    on the problem the search relaxed when it found a passing mu.
+    """
     seed = _resolve_seed(cfg, args)
     problem = build_problem(cfg)
     ball = build_ball(cfg, problem)
     method, sampling = build_certificate_settings(cfg, problem, seed)
-
-    t0 = time.perf_counter()
-    cert = certify(problem, ball, method, sampling)
-    certify_s = time.perf_counter() - t0
-    print(cert.verdict_line(_fmt))
-
-    return {
-        "command": "certify",
-        "config": cfg,
-        "seed": seed,
-        "problem": _problem_summary(problem),
-        "gradient_check": _gradient_check_summary(problem, ball),
-        "certificate": cert.to_dict(),
-        "timings": {"certify_s": certify_s},
-    }
-
-
-def cmd_search(cfg: dict, args) -> dict:
-    seed = _resolve_seed(cfg, args)
-    problem = build_problem(cfg)
-    ball = build_ball(cfg, problem)
-    method, sampling = build_certificate_settings(cfg, problem, seed)
-    tset = build_transform_settings(cfg, required=True)
-
-    t0 = time.perf_counter()
-    result = search_mu(
-        problem, ball, tset["mu_range"], tset["grid_size"],
-        method=method, sampling=sampling, spacing=tset["spacing"],
-    )
-    search_s = time.perf_counter() - t0
-
-    if result.zero_exclusion is not None:
-        print(f"note: excluded mu in (-{_fmt(result.zero_exclusion)}, {_fmt(result.zero_exclusion)})")
-    word = "PASS" if result.any_passed else "FAIL"
-    print(f"{word} best mu={_fmt(result.best_parameter)} slack={_fmt(result.certificate.slack)}")
-
-    sweep_csv = _output_path(cfg, args, "sweep_csv", args.sweep_csv)
-    if sweep_csv:
-        report_io.write_sweep_csv(sweep_csv, result.sweep)
-
-    return {
-        "command": "search",
-        "config": cfg,
-        "seed": seed,
-        "problem": _problem_summary(problem),
-        "gradient_check": _gradient_check_summary(problem, ball),
-        "transform_search": result.to_dict(),
-        "timings": {"search_s": search_s},
-    }
-
-
-def cmd_solve(cfg: dict, args) -> dict:
-    seed = _resolve_seed(cfg, args)
-    problem = build_problem(cfg)
-    ball = build_ball(cfg, problem)
-    descent_cfg = build_descent_config(cfg)
-    tset = build_transform_settings(cfg, required=False)
+    solving = command == "solve"
+    tset = None if command == "certify" else build_transform_settings(cfg, required=not solving)
+    descent_cfg = build_descent_config(cfg) if solving else None
+    report = {"command": command, "config": cfg, "seed": seed,
+              "problem": _problem_summary(problem),
+              "gradient_check": _gradient_check_summary(problem, ball)}
+    if solving:
+        report.update(certificate=None, transform_search=None)
     timings: dict[str, float] = {}
 
-    certificate = None
-    if "certificate" in cfg:
-        method, sampling = build_certificate_settings(cfg, problem, seed)
+    if command == "certify" or (solving and "certificate" in cfg):
         t0 = time.perf_counter()
         certificate = certify(problem, ball, method, sampling)
         timings["certify_s"] = time.perf_counter() - t0
         print(certificate.verdict_line(_fmt))
+        report["certificate"] = certificate.to_dict()
 
-    search_result = None
-    target = problem
-    transform = None
+    found = None
     if tset is not None:
-        method, sampling = build_certificate_settings(cfg, problem, seed)
         t0 = time.perf_counter()
-        search_result = search_mu(
-            problem, ball, tset["mu_range"], tset["grid_size"],
-            method=method, sampling=sampling, spacing=tset["spacing"],
-        )
+        found = search_mu(problem, ball, method=method, sampling=sampling, **tset)
         timings["search_s"] = time.perf_counter() - t0
-        word = "PASS" if search_result.any_passed else "FAIL"
-        print(f"{word} best mu={_fmt(search_result.best_parameter)} "
-              f"slack={_fmt(search_result.certificate.slack)}")
-        if search_result.any_passed:
-            transform = scale(search_result.best_parameter)
-            target = recover_problem_independent(transform, problem)
+        if found.zero_exclusion is not None:
+            print(f"note: excluded mu in (-{_fmt(found.zero_exclusion)}, {_fmt(found.zero_exclusion)})")
+        word = "PASS" if found.any_passed else "FAIL"
+        print(f"{word} best mu={_fmt(found.best_parameter)} slack={_fmt(found.certificate.slack)}")
         sweep_csv = _output_path(cfg, args, "sweep_csv", args.sweep_csv)
         if sweep_csv:
-            report_io.write_sweep_csv(sweep_csv, search_result.sweep)
+            report_io.write_sweep_csv(sweep_csv, found.sweep)
+        report["transform_search"] = found.to_dict()
 
-    trace_csv = _output_path(cfg, args, "trace_csv", args.trace_csv)
-    t0 = time.perf_counter()
-    result = solve(target, ball, descent_cfg, record_trace=bool(trace_csv))
-    timings["descent_s"] = time.perf_counter() - t0
-    if trace_csv:
-        report_io.write_trace_csv(trace_csv, result.trace or ())
-
-    if transform is not None:
-        u = pull_back_zero(transform, result.u)
-    else:
-        u = result.u
-    verified = verify_solution(target, result.u, ball, descent_cfg.residual_tolerance)
-    final_residual = residual_norm(problem, u)
-
-    print(f"{result.status} iterations={result.iterations} "
-          f"residual={_fmt(final_residual)} {_print_point('u', u)} "
-          f"{'VERIFIED' if verified else 'FAIL'}")
-
-    descent_dict = result.to_dict()
-    descent_dict["u_pulled_back"] = [float(x) for x in u]
-    descent_dict["original_residual_norm"] = final_residual
-    return {
-        "command": "solve",
-        "config": cfg,
-        "seed": seed,
-        "problem": _problem_summary(problem),
-        "gradient_check": _gradient_check_summary(problem, ball),
-        "certificate": certificate.to_dict() if certificate else None,
-        "transform_search": search_result.to_dict() if search_result else None,
-        "descent": descent_dict,
-        "verified": verified,
-        "timings": timings,
-    }
+    if solving:
+        transform = scale(found.best_parameter) if found is not None and found.any_passed else None
+        target = recover_problem_independent(transform, problem) if transform else problem
+        trace_csv = _output_path(cfg, args, "trace_csv", args.trace_csv)
+        t0 = time.perf_counter()
+        result = solve(target, ball, descent_cfg, record_trace=bool(trace_csv))
+        timings["descent_s"] = time.perf_counter() - t0
+        if trace_csv:
+            report_io.write_trace_csv(trace_csv, result.trace or ())
+        u = pull_back_zero(transform, result.u) if transform else result.u
+        verified = verify_solution(target, result.u, ball, descent_cfg.residual_tolerance)
+        final_residual = residual_norm(problem, u)
+        print(f"{result.status} iterations={result.iterations} "
+              f"residual={_fmt(final_residual)} {_print_point('u', u)} "
+              f"{'VERIFIED' if verified else 'FAIL'}")
+        descent = result.to_dict()
+        descent["u_pulled_back"] = [float(x) for x in u]
+        descent["original_residual_norm"] = final_residual
+        report.update(descent=descent, verified=verified)
+    report["timings"] = timings
+    return report
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -398,8 +330,7 @@ def main(argv=None) -> int:
         return run_selftest(args.seed if args.seed is not None else 42)
     try:
         cfg = load_config(args.config)
-        handler = {"certify": cmd_certify, "search": cmd_search, "solve": cmd_solve}[args.command]
-        report = handler(cfg, args)
+        report = run_command(args.command, cfg, args)
         report_path = _output_path(cfg, args, "report", args.report,
                                    default=f"{args.command}_report.json")
         report_io.write_json(report_path, report)

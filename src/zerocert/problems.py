@@ -116,7 +116,7 @@ def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
     """
     lam = float(params.lam if isinstance(params, QuadraticParams) else params)
     if not np.isfinite(lam):
-        raise InvalidConfigurationError("quadratic coefficient must be finite")
+        raise InvalidConfigurationError("lambda must be finite")
 
     def residual(v: np.ndarray) -> np.ndarray:
         return np.array([lam * v[0] * v[0] - 1.0])
@@ -151,7 +151,9 @@ def bvp_forcing(name: str, gamma: float = 0.0) -> Callable[[np.ndarray], np.ndar
             s = np.sin(np.pi * np.asarray(t, dtype=float))
             return np.pi**2 * s + gamma * s**3
         return forcing
-    raise InvalidConfigurationError(f"unknown forcing {name!r}")
+    raise InvalidConfigurationError(
+        f"unknown forcing {name!r}, expected 'zero', 'sin_pi' or 'manufactured_sin'"
+    )
 
 
 def make_bvp(
@@ -176,7 +178,7 @@ def make_bvp(
     """
     n = int(grid_points)
     if n < 2:
-        raise InvalidConfigurationError("bvp needs at least 2 interior grid points")
+        raise InvalidConfigurationError("grid_points must be at least 2")
     gamma = float(nonlinearity_coefficient)
     forcing_name = forcing if isinstance(forcing, str) else "custom"
     if isinstance(forcing, str):

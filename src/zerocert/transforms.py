@@ -28,6 +28,7 @@ from .certificate import (
     Certificate,
     SamplingConfig,
     certify,
+    check_method,
     quadratic_domination_constant,
 )
 from .exceptions import (
@@ -44,11 +45,14 @@ ZERO_EXCLUSION_FRACTION = 1e-3  # half-width of the mu-grid hole around 0, relat
 
 
 @dataclass(frozen=True)
-class DependentTransform:
-    """Invertible codomain map A with A(0) = 0, applied componentwise.
+class Transform:
+    """Invertible componentwise map with its derivative and inverse.
 
-    ``forward``, ``derivative`` and ``inverse`` accept scalars or arrays and
-    operate elementwise.
+    A dependent transform A acts on the codomain and fixes 0; an independent
+    transform B reparameterizes the domain.  ``forward``, ``derivative`` and
+    ``inverse`` accept scalars or arrays and operate elementwise.  Every
+    built-in independent family has constant nonzero derivative, so
+    bijectivity holds by construction.
     """
 
     family: str
@@ -58,27 +62,15 @@ class DependentTransform:
     inverse: Callable = None
 
 
-@dataclass(frozen=True)
-class IndependentTransform:
-    """Invertible domain map B applied componentwise.
-
-    Both built-in families have constant nonzero derivative, so bijectivity
-    holds by construction.
-    """
-
-    family: str
-    params: dict = field(default_factory=dict)
-    forward: Callable = None
-    derivative: Callable = None
-    inverse: Callable = None
+DependentTransform = IndependentTransform = Transform
 
 
-def linear_scale(alpha: float) -> DependentTransform:
+def linear_scale(alpha: float) -> Transform:
     """Dependent transform A(y) = alpha*y, alpha != 0."""
     alpha = float(alpha)
     if alpha == 0.0:
         raise InvalidParameterError("linear_scale needs alpha != 0")
-    return DependentTransform(
+    return Transform(
         family="linear_scale",
         params={"alpha": alpha},
         forward=lambda y: alpha * np.asarray(y, dtype=float),
@@ -113,7 +105,7 @@ def _cubic_inverse(w, beta: float) -> np.ndarray:
     return y
 
 
-def cubic_perturbation(beta: float) -> DependentTransform:
+def cubic_perturbation(beta: float) -> Transform:
     """Dependent transform A(y) = y + beta*y**3, beta >= 0.
 
     Restricting beta >= 0 keeps A'(y) = 1 + 3*beta*y**2 > 0 everywhere, so A
@@ -122,7 +114,7 @@ def cubic_perturbation(beta: float) -> DependentTransform:
     beta = float(beta)
     if beta < 0.0:
         raise InvalidParameterError("cubic_perturbation needs beta >= 0")
-    return DependentTransform(
+    return Transform(
         family="cubic_perturbation",
         params={"beta": beta},
         forward=lambda y: np.asarray(y, dtype=float) + beta * np.asarray(y, dtype=float) ** 3,
@@ -131,12 +123,12 @@ def cubic_perturbation(beta: float) -> DependentTransform:
     )
 
 
-def scale(mu: float) -> IndependentTransform:
+def scale(mu: float) -> Transform:
     """Independent transform B(v) = mu*v, mu != 0."""
     mu = float(mu)
     if mu == 0.0:
         raise InvalidParameterError("scale needs mu != 0")
-    return IndependentTransform(
+    return Transform(
         family="scale",
         params={"mu": mu},
         forward=lambda v: mu * np.asarray(v, dtype=float),
@@ -145,13 +137,13 @@ def scale(mu: float) -> IndependentTransform:
     )
 
 
-def affine(mu: float, shift: float) -> IndependentTransform:
+def affine(mu: float, shift: float) -> Transform:
     """Independent transform B(v) = mu*v + shift, mu != 0."""
     mu = float(mu)
     shift = float(shift)
     if mu == 0.0:
         raise InvalidParameterError("affine needs mu != 0")
-    return IndependentTransform(
+    return Transform(
         family="affine",
         params={"mu": mu, "shift": shift},
         forward=lambda v: mu * np.asarray(v, dtype=float) + shift,
@@ -160,7 +152,7 @@ def affine(mu: float, shift: float) -> IndependentTransform:
     )
 
 
-def apply_dependent(transform: DependentTransform, problem: ResidualProblem) -> ResidualProblem:
+def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualProblem:
     """Compose on the codomain: the problem v -> A(F(v)).
 
     Zeros are preserved in both directions (A(0) = 0 and A invertible).  The
@@ -185,7 +177,7 @@ def apply_dependent(transform: DependentTransform, problem: ResidualProblem) -> 
     )
 
 
-def recover_problem_dependent(transform: DependentTransform, problem_f: ResidualProblem) -> ResidualProblem:
+def recover_problem_dependent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
     """Peel a dependent transform off F: the problem G with F = A o G.
 
     G(v) = A^-1(F(v)); its zeros coincide with F's.
@@ -209,7 +201,7 @@ def recover_problem_dependent(transform: DependentTransform, problem_f: Residual
     )
 
 
-def recover_problem_independent(transform: IndependentTransform, problem_f: ResidualProblem) -> ResidualProblem:
+def recover_problem_independent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
     """Peel an independent transform off F: the problem G with F = G o B.
 
     G(v) = F(B^-1(v)), evaluated literally as that composition so that
@@ -245,7 +237,7 @@ def recover_problem_independent(transform: IndependentTransform, problem_f: Resi
     )
 
 
-def pull_back_zero(transform: IndependentTransform, v_star) -> np.ndarray:
+def pull_back_zero(transform: Transform, v_star) -> np.ndarray:
     """Map a zero v* of G = F o B^-1 back to the zero B^-1(v*) of F.
 
     Since F = G o B as computations, ||F(pull_back_zero(B, v*))|| equals
@@ -254,7 +246,7 @@ def pull_back_zero(transform: IndependentTransform, v_star) -> np.ndarray:
     return np.atleast_1d(np.asarray(transform.inverse(np.asarray(v_star, dtype=float)), dtype=float))
 
 
-def dependent_condition_ratio(transform: DependentTransform, g: float) -> float:
+def dependent_condition_ratio(transform: Transform, g: float) -> float:
     """Relaxation ratio |A(g) / (g * A'(g))| for a dependent transform.
 
     A lower bound c_G/c on this ratio over the ball transfers a domination
@@ -271,7 +263,7 @@ def dependent_condition_ratio(transform: DependentTransform, g: float) -> float:
     return abs(a / (g * d))
 
 
-def independent_condition_value(transform: IndependentTransform, v: float) -> float:
+def independent_condition_value(transform: Transform, v: float) -> float:
     """Relaxation value (B^-1)'(B(v)) = 1/B'(v) for an independent transform.
 
     A lower bound c_G/c on this value over the ball transfers a domination
@@ -397,11 +389,13 @@ def build_mu_grid(
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not lo <= hi:
-        raise InvalidConfigurationError(f"empty mu range ({lo}, {hi})")
+        raise InvalidConfigurationError(f"mu_min {lo} exceeds mu_max {hi}")
     if grid_size < 1:
         raise InvalidConfigurationError("grid_size must be at least 1")
     if spacing not in ("linear", "geometric"):
-        raise InvalidConfigurationError(f"unknown grid spacing {spacing!r}")
+        raise InvalidConfigurationError(
+            f"unknown spacing {spacing!r}, expected 'linear' or 'geometric'"
+        )
 
     if lo > 0.0 or hi < 0.0:
         return _branch_grid(lo, hi, grid_size, spacing), None
@@ -449,6 +443,7 @@ def search_mu(
     """
     if method is None:
         method = METHOD_CLOSED_FORM if problem.is_quadratic else METHOD_SAMPLED
+    check_method(problem, method)
     if ball.n != problem.n:
         raise InputShapeError(
             f"ball center has dimension {ball.n}, problem expects {problem.n}"
@@ -461,10 +456,6 @@ def search_mu(
     for mu in grid:
         mu = float(mu)
         if method == METHOD_CLOSED_FORM:
-            if not problem.is_quadratic:
-                raise InvalidConfigurationError(
-                    "closed-form search requires a quadratic problem"
-                )
             cert = transformed_certificate_quadratic(
                 problem.params["lambda"], mu, ball.center[0], ball.radius
             )

@@ -86,6 +86,60 @@ def test_wrong_center_dimension_is_a_config_error(tmp_path, capsys):
     assert "ball.center" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, key, bad", [
+    ("ball", "radius", 0.0),
+    ("problem", "grid_points", 1),
+    ("problem", "forcing", "ramp"),
+    ("certificate", "method", "newton"),
+    ("certificate", "method", "closed_form_quadratic"),
+    ("certificate", "samples_per_axis", 1),
+    ("transform", "spacing", "cubic"),
+    ("transform", "grid_size", 0),
+    ("descent", "backtrack_factor", 2.0),
+    ("descent", "ball_policy", "bounce"),
+])
+def test_out_of_range_values_are_config_errors_naming_section_and_key(
+        tmp_path, capsys, section, key, bad):
+    cfg = {
+        "problem": {"name": "bvp", "grid_points": 2, "forcing": "zero"},
+        "ball": {"center": [0.0, 0.0], "radius": 1.0},
+        "certificate": {"samples_per_axis": 2},
+        "transform": {"mu_min": 0.5, "mu_max": 2.0, "grid_size": 3},
+        "descent": {},
+    }
+    cfg[section][key] = bad
+    rc, report = run(tmp_path, "solve", cfg)
+    err = capsys.readouterr().err
+    assert rc == 2 and report is None
+    assert section in err and key in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda text: text.replace('"center": [2.0]', '"center": [NaN]'),
+    lambda text: text.replace('"radius": 0.5', '"radius": 1e400'),
+    lambda text: text.replace('"lambda": 1.0', '"lambda": Infinity'),
+    lambda text: text[:-1] + ', "note": NaN}',
+], ids=["center-nan", "radius-1e400", "lambda-infinity", "unused-key-nan"])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit):
+    # used to run the whole command, print a verdict and then fail with exit 3
+    path = tmp_path / "config.json"
+    path.write_text(edit(json.dumps(QUAD_FAIL)))
+    rc = cli.main(["certify", "--config", str(path), "--report", str(tmp_path / "r.json")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "config error" in err and "non-finite" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_reversed_mu_range_fails_before_any_stage(tmp_path, capsys):
+    cfg = dict(QUAD_FAIL)
+    cfg["transform"] = {"family": "scale", "mu_min": 3.0, "mu_max": 1.0}
+    rc, _ = run(tmp_path, "solve", cfg)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert "transform" in err and "mu_min" in err
+
+
 def test_search_finds_optimal_mu_and_writes_sweep(tmp_path, capsys):
     cfg = dict(QUAD_FAIL)
     cfg["transform"] = {"family": "scale", "mu_min": 0.5, "mu_max": 3.0, "grid_size": 26}
@@ -126,6 +180,10 @@ def test_search_excludes_zero_from_mu_range(tmp_path, capsys):
     assert rc == 0
     assert "excluded mu in" in out
     assert report["transform_search"]["zero_exclusion"] == pytest.approx(1e-3)
+    # nothing passes, so descent runs on the original problem; keep it short
+    rc, _ = run(tmp_path, "solve", {**cfg, "descent": {"max_iterations": 5}})
+    assert rc == 0
+    assert "excluded mu in" in capsys.readouterr().out
 
 
 def test_search_requires_transform_block(tmp_path, capsys):

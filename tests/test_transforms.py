@@ -4,6 +4,7 @@ import pytest
 from zerocert import (
     Ball,
     InvalidConfigurationError,
+    InvalidMethodError,
     InvalidParameterError,
     SamplingConfig,
     SingularRatioError,
@@ -347,6 +348,17 @@ def test_search_mu_generic_path_on_bvp():
     u = pull_back_zero(transform, located.u)
     assert np.array_equal(eval_residual(p, u), eval_residual(g, located.u))
     assert np.linalg.norm(eval_residual(p, u)) <= 1e-10
+
+
+def test_search_mu_rejects_methods_certify_rejects():
+    # an unknown method used to fall through to the sampled estimator
+    q = make_quadratic(1.0)
+    with pytest.raises(InvalidMethodError):
+        search_mu(q, Ball(np.array([2.0]), 0.5), (0.5, 3.0), 5, method="bogus")
+    from zerocert import make_bvp
+    with pytest.raises(InvalidMethodError):
+        search_mu(make_bvp(4, 0.0), Ball(np.zeros(4), 1.0), (0.5, 3.0), 5,
+                  method="closed_form_quadratic")
 
 
 def test_search_mu_tie_breaks_toward_least_distortion():
