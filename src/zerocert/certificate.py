@@ -18,6 +18,7 @@ ball.  Sampled certificates are advisory (an estimate, not a proven bound).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,8 @@ class SamplingConfig:
             raise InvalidConfigurationError("residual_floor must be positive")
         if not 0.0 < self.safety <= 1.0:
             raise InvalidConfigurationError("safety must lie in (0, 1]")
+        if not 0 <= self.seed < 2**32:
+            raise InvalidConfigurationError(f"seed must lie in [0, 2**32), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -223,8 +226,9 @@ def domination_constant_sampled(
     ||F(v)|| above the floor.  In dimension 1 the samples are a uniform grid
     including both endpoints; in higher dimensions a deterministic
     low-discrepancy sequence in the ball, capped at 10^6 points.  Returns 0
-    when every sampled point sits at the floor (the infimum is undetermined,
-    which yields a conservative certificate).
+    when every sampled point sits at the floor (the infimum is undetermined)
+    or when any sampled residual norm or ratio is NaN or infinite; both
+    yield a conservative certificate.
     """
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
     points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
@@ -234,6 +238,8 @@ def domination_constant_sampled(
         if rn <= cfg.residual_floor:
             continue
         ratio = float(np.linalg.norm(grad_phi(problem, v))) / rn
+        if not math.isfinite(ratio):
+            return 0.0
         if ratio < best:
             best = ratio
     if not np.isfinite(best):

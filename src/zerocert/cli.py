@@ -94,11 +94,12 @@ def _present(section: dict, path: str, kinds: dict) -> dict:
     return {key: _get(section, key, path, kind) for key, kind in kinds.items() if key in section}
 
 
-def _finite_number(token: str) -> float:
-    value = float(token)
-    if not math.isfinite(value):
-        raise ConfigError(f"non-finite number {token} is not allowed")
-    return value
+def _finite_number(token: str, convert=float):
+    """``convert(token)``, or a ConfigError when a float cannot hold the number."""
+    if not math.isfinite(float(token)):
+        shown = token if len(token) <= 32 else f"{token[:16]}... ({len(token)} characters)"
+        raise ConfigError(f"non-finite number {shown} is not allowed")
+    return convert(token)
 
 
 def load_config(path: str | Path) -> dict:
@@ -107,7 +108,8 @@ def load_config(path: str | Path) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+        cfg = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number,
+                         parse_int=lambda token: _finite_number(token, int))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):

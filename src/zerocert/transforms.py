@@ -16,7 +16,7 @@ B(v) = mu*v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,7 +36,6 @@ from .exceptions import (
     InvalidConfigurationError,
     InvalidParameterError,
     SingularRatioError,
-    ZerocertError,
 )
 from .problems import ResidualProblem, eval_jacobian
 
@@ -56,27 +55,32 @@ class Transform:
     """
 
     family: str
-    params: dict = field(default_factory=dict)
-    forward: Callable = None
-    derivative: Callable = None
-    inverse: Callable = None
+    params: dict
+    forward: Callable
+    derivative: Callable
+    inverse: Callable
 
 
 DependentTransform = IndependentTransform = Transform
 
 
+def _linear(family: str, name: str, a: float) -> Transform:
+    """The map y -> a*y, a != 0, as transform ``family`` with parameter ``name``."""
+    a = float(a)
+    if a == 0.0:
+        raise InvalidParameterError(f"{family} needs {name} != 0")
+    return Transform(
+        family=family,
+        params={name: a},
+        forward=lambda y: a * np.asarray(y, dtype=float),
+        derivative=lambda y: np.full_like(np.asarray(y, dtype=float), a),
+        inverse=lambda y: np.asarray(y, dtype=float) / a,
+    )
+
+
 def linear_scale(alpha: float) -> Transform:
     """Dependent transform A(y) = alpha*y, alpha != 0."""
-    alpha = float(alpha)
-    if alpha == 0.0:
-        raise InvalidParameterError("linear_scale needs alpha != 0")
-    return Transform(
-        family="linear_scale",
-        params={"alpha": alpha},
-        forward=lambda y: alpha * np.asarray(y, dtype=float),
-        derivative=lambda y: np.full_like(np.asarray(y, dtype=float), alpha),
-        inverse=lambda y: np.asarray(y, dtype=float) / alpha,
-    )
+    return _linear("linear_scale", "alpha", alpha)
 
 
 def _cubic_inverse(w, beta: float) -> np.ndarray:
@@ -125,16 +129,7 @@ def cubic_perturbation(beta: float) -> Transform:
 
 def scale(mu: float) -> Transform:
     """Independent transform B(v) = mu*v, mu != 0."""
-    mu = float(mu)
-    if mu == 0.0:
-        raise InvalidParameterError("scale needs mu != 0")
-    return Transform(
-        family="scale",
-        params={"mu": mu},
-        forward=lambda v: mu * np.asarray(v, dtype=float),
-        derivative=lambda v: np.full_like(np.asarray(v, dtype=float), mu),
-        inverse=lambda v: np.asarray(v, dtype=float) / mu,
-    )
+    return _linear("scale", "mu", mu)
 
 
 def affine(mu: float, shift: float) -> Transform:
@@ -177,28 +172,23 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
     )
 
 
-def recover_problem_dependent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
-    """Peel a dependent transform off F: the problem G with F = A o G.
-
-    G(v) = A^-1(F(v)); its zeros coincide with F's.
-    """
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        return np.asarray(transform.inverse(problem_f.residual(v)), dtype=float)
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        g = residual(v)
-        scale_rows = 1.0 / np.asarray(transform.derivative(g), dtype=float)
-        return scale_rows[:, None] * eval_jacobian(problem_f, v)
-
-    return ResidualProblem(
-        name=f"{transform.family}^-1({problem_f.name})",
-        n=problem_f.n,
-        m=problem_f.m,
-        residual=residual,
-        jacobian=jacobian,
-        weights=problem_f.weights,
+def _inverted(transform: Transform) -> Transform:
+    """A^-1 as a transform: forward and inverse swapped, derivative 1/A'(A^-1(y))."""
+    return Transform(
+        family=f"{transform.family}^-1",
+        params=transform.params,
+        forward=transform.inverse,
+        derivative=lambda y: 1.0 / np.asarray(transform.derivative(transform.inverse(y)), dtype=float),
+        inverse=transform.forward,
     )
+
+
+def recover_problem_dependent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
+    """Peel a dependent transform off F: the problem G = A^-1 o F, with F = A o G.
+
+    Its zeros coincide with F's.
+    """
+    return apply_dependent(_inverted(transform), problem_f)
 
 
 def recover_problem_independent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
@@ -285,8 +275,8 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     are reported multiplied by mu**2 (lhs = |lam*x**2 - mu**2|, rhs = r times
     the original problem's constant), which leaves the verdict unchanged,
     reduces to the plain certificate at mu = 1, and makes slacks comparable
-    across mu.  The rescaled-problem form is evaluated as well and the two
-    verdicts are required to agree.
+    across mu.  Only this original-scale form is evaluated, so an exact tie
+    lhs == rhs passes as it does in :func:`certify`.
     """
     mu = float(mu)
     if mu == 0.0:
@@ -294,27 +284,16 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     lam = float(lam)
     x = float(x)
     r = float(r)
-
-    lam_g = lam / mu**2
-    c_g = quadratic_domination_constant(lam_g, x, r)
-    passed_g = abs(lam_g * x * x - 1.0) <= r * c_g
-
     c = quadratic_domination_constant(lam, x, r)
     lhs = abs(lam * x * x - mu * mu)
     rhs = r * c
-    passed = lhs <= rhs
-    if passed != passed_g:
-        raise ZerocertError(
-            "equivalent certificate forms disagreed "
-            f"(lam={lam}, mu={mu}, x={x}, r={r})"
-        )
     return Certificate(
         ball=Ball(np.array([x]), r),
         c=c,
         lhs=lhs,
         rhs=rhs,
         slack=rhs - lhs,
-        passed=passed,
+        passed=lhs <= rhs,
         method=METHOD_CLOSED_FORM,
         sample_count=0,
     )
@@ -330,16 +309,6 @@ class SweepPoint:
     rhs: float
     slack: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "c": self.c,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 @dataclass(frozen=True)
@@ -363,7 +332,7 @@ class TransformSearchResult:
             "any_passed": self.any_passed,
             "zero_exclusion": self.zero_exclusion,
             "certificate": self.certificate.to_dict(),
-            "sweep": [p.to_dict() for p in self.sweep],
+            "sweep": [asdict(p) for p in self.sweep],
         }
 
 

@@ -78,6 +78,22 @@ def test_sampled_constant_returns_zero_when_residual_floor_excludes_everything()
     assert cert.c == 0.0 and cert.lhs == 0.0 and cert.passed
 
 
+def test_non_finite_sample_gives_zero_constant():
+    # F > 0 wherever it is defined, but the NaN samples at v < 0 used to be
+    # skipped, leaving c = 0.45 and a PASS
+    root = ResidualProblem(
+        name="sqrt", n=1, m=1,
+        residual=lambda v: np.sqrt(v) + 0.1,
+        jacobian=lambda v: np.array([[0.5 / np.sqrt(v[0])]]),
+    )
+    ball = Ball(np.array([0.0]), 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        c = domination_constant_sampled(root, ball, samples_per_axis=101)
+        cert = certify(root, ball, "sampled", SamplingConfig(samples_per_axis=101))
+    assert c == 0.0
+    assert cert.c == 0.0 and not cert.passed
+
+
 def test_sampled_monotone_in_radius():
     q = make_quadratic(1.0)
     values = [
@@ -181,6 +197,9 @@ def test_sampling_config_validation():
         SamplingConfig(safety=0.0)
     with pytest.raises(InvalidConfigurationError):
         SamplingConfig(residual_floor=0.0)
+    for seed in (-1, 2**32):
+        with pytest.raises(InvalidConfigurationError):
+            SamplingConfig(seed=seed)
 
 
 def test_sample_ball_points_inside_and_deterministic():

@@ -119,16 +119,35 @@ def test_out_of_range_values_are_config_errors_naming_section_and_key(
     lambda text: text.replace('"radius": 0.5', '"radius": 1e400'),
     lambda text: text.replace('"lambda": 1.0', '"lambda": Infinity'),
     lambda text: text[:-1] + ', "note": NaN}',
-], ids=["center-nan", "radius-1e400", "lambda-infinity", "unused-key-nan"])
+    lambda text: text.replace('"lambda": 1.0', '"lambda": 1' + "0" * 400),
+    lambda text: text.replace('"lambda": 1.0', '"lambda": 1' + "0" * 5000),
+], ids=["center-nan", "radius-1e400", "lambda-infinity", "unused-key-nan",
+        "lambda-401-digit-int", "lambda-5001-digit-int"])
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, edit):
-    # used to run the whole command, print a verdict and then fail with exit 3
+    # used to run the whole command, print a verdict and then fail with exit 3;
+    # integers too large for a float died with a traceback (exit 1) or exit 3
     path = tmp_path / "config.json"
     path.write_text(edit(json.dumps(QUAD_FAIL)))
     rc = cli.main(["certify", "--config", str(path), "--report", str(tmp_path / "r.json")])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert "config error" in err and "non-finite" in err
+    assert len(err) < 200
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "99999999999999999999"])
+def test_seed_outside_uint32_range_is_a_config_error(tmp_path, capsys, seed):
+    # -1 used to sample only NaN points and report c=0; a huge seed overflowed
+    cfg = {
+        "problem": {"name": "bvp", "grid_points": 3, "gamma": 1.0},
+        "ball": {"center": [0.5, 0.5, 0.5], "radius": 0.25},
+        "certificate": {"method": "sampled", "samples_per_axis": 3},
+    }
+    rc, report = run(tmp_path, "certify", cfg, extra=("--seed", seed))
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and report is None
+    assert "seed" in err
 
 
 def test_reversed_mu_range_fails_before_any_stage(tmp_path, capsys):
@@ -184,6 +203,24 @@ def test_search_excludes_zero_from_mu_range(tmp_path, capsys):
     rc, _ = run(tmp_path, "solve", {**cfg, "descent": {"max_iterations": 5}})
     assert rc == 0
     assert "excluded mu in" in capsys.readouterr().out
+
+
+def test_search_passes_on_an_exact_tie(tmp_path, capsys):
+    # at mu = 1.4 lhs == rhs exactly; the search used to exit 3 because a
+    # second, rescaled evaluation of the same certificate rounded the other way
+    cfg = {
+        "problem": {"name": "quadratic", "lambda": 0.5},
+        "ball": {"center": [-2.8], "radius": 1.4},
+        "certificate": {"method": "closed_form_quadratic"},
+        "transform": {"family": "scale", "mu_min": 0.5, "mu_max": 1.4, "grid_size": 10},
+    }
+    rc, report = run(tmp_path, "search", cfg)
+    capsys.readouterr()
+    assert rc == 0
+    found = report["transform_search"]
+    assert found["any_passed"] is True
+    assert found["best_parameter"] == pytest.approx(1.4, abs=1e-15)
+    assert found["certificate"]["slack"] == 0.0
 
 
 def test_search_requires_transform_block(tmp_path, capsys):
