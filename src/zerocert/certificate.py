@@ -33,6 +33,12 @@ METHOD_SAMPLED = "sampled"
 SAMPLE_CAP = 10**6  # hard cap on sampled points in dimension >= 2
 
 
+def check_seed(seed: int) -> None:
+    """Raise InvalidConfigurationError unless ``seed`` lies in [0, 2**32)."""
+    if not 0 <= seed < 2**32:
+        raise InvalidConfigurationError(f"seed must lie in [0, 2**32), got {seed}")
+
+
 @dataclass(frozen=True)
 class Ball:
     """Closed ball of radius r centered at x (Euclidean norm on the domain)."""
@@ -81,8 +87,7 @@ class SamplingConfig:
             raise InvalidConfigurationError("residual_floor must be positive")
         if not 0.0 < self.safety <= 1.0:
             raise InvalidConfigurationError("safety must lie in (0, 1]")
-        if not 0 <= self.seed < 2**32:
-            raise InvalidConfigurationError(f"seed must lie in [0, 2**32), got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -93,6 +98,7 @@ class Certificate:
     comparison lhs <= rhs (ties pass), and ``slack = rhs - lhs``.  A passed
     certificate asserts a zero of F exists in the ball; when the method is
     "sampled" the constant is an estimate and the certificate is advisory.
+    Build one with :meth:`judge`, which holds the verdict rule.
     """
 
     ball: Ball
@@ -103,6 +109,18 @@ class Certificate:
     passed: bool
     method: str
     sample_count: int = 0
+
+    @classmethod
+    def judge(cls, ball: Ball, c: float, lhs: float, method: str,
+              sample_count: int = 0) -> Certificate:
+        """The verdict on ``ball`` for constant ``c`` and ``lhs = ||F(x)||``.
+
+        A NaN or infinite ``lhs`` or ``c`` fails: ``inf <= inf`` proves nothing.
+        """
+        rhs = ball.radius * c
+        passed = math.isfinite(lhs) and math.isfinite(c) and lhs <= rhs
+        return cls(ball=ball, c=c, lhs=lhs, rhs=rhs, slack=rhs - lhs, passed=passed,
+                   method=method, sample_count=sample_count)
 
     @property
     def advisory(self) -> bool:
@@ -120,13 +138,6 @@ class Certificate:
             "sample_count": self.sample_count,
             "advisory": self.advisory,
         }
-
-    def verdict_line(self, fmt=lambda v: format(v, ".17g")) -> str:
-        word = "PASS" if self.passed else "FAIL"
-        return (
-            f"{word} lhs={fmt(self.lhs)} rhs={fmt(self.rhs)} "
-            f"slack={fmt(self.slack)} c={fmt(self.c)} method={self.method}"
-        )
 
 
 def quadratic_domination_constant(lam: float, x: float, r: float) -> float:
@@ -176,8 +187,10 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -
 
     Halton points feed Box-Muller pairs to get quasi-random directions; one
     extra Halton dimension gives the radius via the u**(1/n) law.  ``seed``
-    offsets the start of the Halton sequence, so runs are reproducible.
+    offsets the start of the Halton sequence, so runs are reproducible; it
+    must pass :func:`check_seed`.
     """
+    check_seed(seed)
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
     pairs = (n + 1) // 2
@@ -270,8 +283,9 @@ def certify(
 ) -> Certificate:
     """Check both ball conditions and report the verdict with slack.
 
-    ``method`` must pass :func:`check_method`.  Ties lhs == rhs count as
-    passed.
+    ``method`` must pass :func:`check_method`.  The verdict follows
+    :meth:`Certificate.judge`: ties lhs == rhs pass, a NaN or infinite lhs
+    or c fails.
     """
     if ball.n != problem.n:
         raise InputShapeError(
@@ -289,15 +303,4 @@ def certify(
             problem, ball, cfg.samples_per_axis, cfg.residual_floor, cfg.safety, cfg.seed
         )
         count = _sample_count(problem.n, cfg.samples_per_axis)
-    lhs = residual_norm(problem, ball.center)
-    rhs = ball.radius * c
-    return Certificate(
-        ball=ball,
-        c=c,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        passed=lhs <= rhs,
-        method=method,
-        sample_count=count,
-    )
+    return Certificate.judge(ball, c, residual_norm(problem, ball.center), method, count)

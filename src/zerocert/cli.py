@@ -227,8 +227,7 @@ def _gradient_check_summary(problem: ResidualProblem, ball: Ball) -> dict:
     }
 
 
-def _fmt(v: float) -> str:
-    return report_io.format_float(v)
+_fmt = report_io.format_float
 
 
 def _print_point(label: str, u: np.ndarray) -> str:
@@ -263,7 +262,9 @@ def run_command(command: str, cfg: dict, args) -> dict:
         t0 = time.perf_counter()
         certificate = certify(problem, ball, method, sampling)
         timings["certify_s"] = time.perf_counter() - t0
-        print(certificate.verdict_line(_fmt))
+        print(f"{'PASS' if certificate.passed else 'FAIL'} lhs={_fmt(certificate.lhs)} "
+              f"rhs={_fmt(certificate.rhs)} slack={_fmt(certificate.slack)} "
+              f"c={_fmt(certificate.c)} method={certificate.method}")
         report["certificate"] = certificate.to_dict()
 
     found = None
@@ -328,9 +329,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    if args.command == "selftest":
-        return run_selftest(args.seed if args.seed is not None else 42)
     try:
+        if args.command == "selftest":
+            with _section("selftest"):
+                return run_selftest(args.seed if args.seed is not None else 42)
         cfg = load_config(args.config)
         report = run_command(args.command, cfg, args)
         report_path = _output_path(cfg, args, "report", args.report,

@@ -1,14 +1,17 @@
-"""Machine-readable run reports: JSON with full-precision floats, and CSV.
+"""Machine-readable run reports: JSON and CSV.
 
-Floating-point values are printed with 17 significant digits so that every
-number in a report round-trips exactly; given a fixed config (and seed) the
-emitted bytes are deterministic apart from the timing fields.
+The JSON report is written by ``json.dumps``, whose floats take Python's
+shortest spelling that round-trips; the CSVs (like stdout) print floats with
+17 significant digits, which round-trip too.  Given a fixed config (and seed)
+the emitted bytes are deterministic apart from the timing fields, and a NaN
+or infinite value is an error, never written.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,38 +24,8 @@ def format_float(v: float) -> str:
     return format(v, ".17g")
 
 
-def _emit(obj, indent: int, level: int) -> str:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_emit(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        items = [f"{inner}{_emit(v, indent, level + 1)}" for v in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
-
-
-def dumps(obj, indent: int = 2) -> str:
-    return _emit(obj, indent, 0) + "\n"
+def dumps(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -69,19 +42,19 @@ def _cell(v) -> str:
     return str(v)
 
 
-def write_sweep_csv(path: str | Path, sweep) -> None:
-    """Transform sweep as fixed columns (mu, c, lhs, rhs, slack, passed)."""
+def _write_csv(path: str | Path, header, rows) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["mu", "c", "lhs", "rhs", "slack", "passed"])
-        for p in sweep:
-            writer.writerow([_cell(v) for v in (p.mu, p.c, p.lhs, p.rhs, p.slack, p.passed)])
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_sweep_csv(path: str | Path, sweep) -> None:
+    """Transform sweep as fixed columns (mu, c, lhs, rhs, slack, passed)."""
+    columns = ("mu", "c", "lhs", "rhs", "slack", "passed")
+    _write_csv(path, columns, map(attrgetter(*columns), sweep))
 
 
 def write_trace_csv(path: str | Path, trace) -> None:
     """Descent iteration log as columns (k, phi, grad_norm, step)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "phi", "grad_norm", "step"])
-        for k, phi_v, grad_norm, step in trace:
-            writer.writerow([_cell(v) for v in (k, phi_v, grad_norm, step)])
+    _write_csv(path, ("k", "phi", "grad_norm", "step"), trace)

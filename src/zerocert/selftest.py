@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certificate import Ball, domination_constant_sampled, quadratic_domination_constant
+from .certificate import Ball, check_seed, domination_constant_sampled, quadratic_domination_constant
 from .functional import check_gradient
 from .problems import make_bvp, make_quadratic
 from .transforms import transformed_certificate_quadratic
@@ -101,7 +101,11 @@ def suite_gradient_checks(seed: int = 42) -> SuiteResult:
 
 
 def run_selftest(seed: int = 42, out: Callable[[str], None] = print) -> int:
-    """Run all suites, print a pass/fail table, return 0 iff everything passed."""
+    """Run all suites, print a pass/fail table, return 0 iff everything passed.
+
+    ``seed`` must pass :func:`check_seed`.
+    """
+    check_seed(seed)
     suites = [
         suite_closed_form_vs_sampled(seed),
         suite_equivalence_grid(),

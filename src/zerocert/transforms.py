@@ -275,8 +275,8 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     are reported multiplied by mu**2 (lhs = |lam*x**2 - mu**2|, rhs = r times
     the original problem's constant), which leaves the verdict unchanged,
     reduces to the plain certificate at mu = 1, and makes slacks comparable
-    across mu.  Only this original-scale form is evaluated, so an exact tie
-    lhs == rhs passes as it does in :func:`certify`.
+    across mu.  Only this original-scale form is evaluated, and the verdict
+    is :meth:`Certificate.judge`'s, as in :func:`certify`.
     """
     mu = float(mu)
     if mu == 0.0:
@@ -286,17 +286,7 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     r = float(r)
     c = quadratic_domination_constant(lam, x, r)
     lhs = abs(lam * x * x - mu * mu)
-    rhs = r * c
-    return Certificate(
-        ball=Ball(np.array([x]), r),
-        c=c,
-        lhs=lhs,
-        rhs=rhs,
-        slack=rhs - lhs,
-        passed=lhs <= rhs,
-        method=METHOD_CLOSED_FORM,
-        sample_count=0,
-    )
+    return Certificate.judge(Ball(np.array([x]), r), c, lhs, METHOD_CLOSED_FORM)
 
 
 @dataclass(frozen=True)

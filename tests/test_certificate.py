@@ -13,6 +13,7 @@ from zerocert import (
     make_quadratic,
     quadratic_domination_constant,
     sample_ball,
+    transformed_certificate_quadratic,
 )
 
 
@@ -131,6 +132,21 @@ def test_certify_tie_counts_as_passed():
     assert cert.passed and cert.slack == 0.0
 
 
+def test_overflowing_certificate_fails():
+    # lambda*x**2 and c overflow: inf <= inf used to pass, and so did a
+    # finite lhs = 1e308 against rhs = r*inf, where the true r*c is 1.98e306
+    with np.errstate(over="ignore", invalid="ignore"):
+        certs = [
+            certify(make_quadratic(1e308), Ball(np.array([1e10]), 0.5), "closed_form_quadratic"),
+            transformed_certificate_quadratic(1e308, 1.0, 1e10, 0.5),
+            transformed_certificate_quadratic(1e308, 1.0, 1.0, 0.01),
+        ]
+    assert certs[0].lhs == certs[1].lhs == np.inf and certs[2].lhs == 1e308
+    for cert in certs:
+        assert cert.c == cert.rhs == np.inf
+        assert cert.passed is False
+
+
 def test_certify_rejects_closed_form_on_non_quadratic():
     p = make_bvp(8, 0.0, "zero")
     with pytest.raises(InvalidMethodError):
@@ -200,6 +216,13 @@ def test_sampling_config_validation():
     for seed in (-1, 2**32):
         with pytest.raises(InvalidConfigurationError):
             SamplingConfig(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**32])
+def test_sample_ball_rejects_seed_outside_uint32_range(seed):
+    # -1 used to return all-NaN points; 2**32 sampled past the seed range
+    with pytest.raises(InvalidConfigurationError, match=r"\[0, 2\*\*32\)"):
+        sample_ball(np.zeros(2), 1.0, 3, seed=seed)
 
 
 def test_sample_ball_points_inside_and_deterministic():

@@ -150,6 +150,16 @@ def test_seed_outside_uint32_range_is_a_config_error(tmp_path, capsys, seed):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("seed", ["-1", "4294967296"])
+def test_selftest_seed_outside_uint32_range_is_a_config_error(capsys, seed):
+    # -1 died with a numpy ValueError traceback, 2**32 with an uncaught
+    # InvalidConfigurationError; both exited 1, the selftest-failure code
+    rc = cli.main(["selftest", "--seed", seed])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err == f"config error: selftest: seed must lie in [0, 2**32), got {seed}\n"
+
+
 def test_reversed_mu_range_fails_before_any_stage(tmp_path, capsys):
     cfg = dict(QUAD_FAIL)
     cfg["transform"] = {"family": "scale", "mu_min": 3.0, "mu_max": 1.0}
