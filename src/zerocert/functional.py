@@ -41,8 +41,21 @@ def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
 
 
 def residual_norm(problem: ResidualProblem, v) -> float:
-    """Codomain norm ||F(v)||, weighted when the problem carries weights."""
-    return math.sqrt(_weighted_square_sum(problem, eval_residual(problem, v)))
+    """Codomain norm ||F(v)||, weighted when the problem carries weights.
+
+    When the sum of squares overflows although every entry is finite, the
+    norm is computed as s*||F(v)/s|| with s = max|F_i|, so it stays finite
+    while it is representable.
+    """
+    r = eval_residual(problem, v)
+    try:
+        square_sum = _weighted_square_sum(problem, r)
+    except OverflowError:  # fsum of finite terms whose sum overflows
+        square_sum = math.inf
+    if square_sum == math.inf and np.isfinite(r).all():
+        s = float(np.max(np.abs(r)))
+        return s * math.sqrt(_weighted_square_sum(problem, r / s))
+    return math.sqrt(square_sum)
 
 
 def phi(problem: ResidualProblem, v) -> float:

@@ -34,6 +34,13 @@ class ResidualProblem:
     (default unweighted Euclidean).  ``params`` records the construction
     parameters of built-in families ("quadratic", "bvp") so that closed-form
     code paths can recognize them.
+
+    ``residual_batch`` and ``vjp_batch`` are an optional batched form, set
+    both or neither: ``residual_batch(V)`` maps a (k, n) array of points to
+    the (k, m) array of their residuals, and ``vjp_batch(V, Y)`` returns the
+    (k, n) array whose row i is DF(V[i])^T Y[i].  The sampled domination
+    constant uses them to screen all points at once; without them every
+    point takes the per-point path.
     """
 
     name: str
@@ -43,6 +50,12 @@ class ResidualProblem:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     weights: np.ndarray | None = None
     params: Mapping[str, object] = field(default_factory=dict)
+    residual_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    vjp_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if (self.residual_batch is None) != (self.vjp_batch is None):
+            raise InvalidConfigurationError("set both residual_batch and vjp_batch, or neither")
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -131,6 +144,8 @@ def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
         residual=residual,
         jacobian=jacobian,
         params={"lambda": lam},
+        residual_batch=lambda V: lam * V * V - 1.0,
+        vjp_batch=lambda V, Y: 2.0 * lam * V * Y,
     )
 
 
@@ -206,6 +221,17 @@ def make_bvp(
         jac[idx[1:], idx[1:] - 1] = -inv_h2
         return jac
 
+    # the batched form works on rows as stencils and builds no Jacobian
+    def residual_batch(V: np.ndarray) -> np.ndarray:
+        padded = np.pad(V, ((0, 0), (1, 1)))
+        second = (padded[:, :-2] - 2.0 * padded[:, 1:-1] + padded[:, 2:]) * inv_h2
+        return -second + gamma * V**3 - f_vals
+
+    def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        neighbours = np.pad(Y, ((0, 0), (1, 1)))
+        diagonal = 2.0 * inv_h2 + 3.0 * gamma * V**2
+        return diagonal * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
+
     return ResidualProblem(
         name="bvp",
         n=n,
@@ -214,4 +240,6 @@ def make_bvp(
         jacobian=jacobian,
         weights=h * np.ones(n) if quadrature_weights else None,
         params={"grid_points": n, "gamma": gamma, "forcing": forcing_name},
+        residual_batch=residual_batch,
+        vjp_batch=vjp_batch,
     )

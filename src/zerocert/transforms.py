@@ -162,6 +162,15 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
         scale_rows = np.asarray(transform.derivative(f), dtype=float)
         return scale_rows[:, None] * eval_jacobian(problem, v)
 
+    residual_batch = vjp_batch = None
+    if problem.residual_batch is not None:
+        def residual_batch(V: np.ndarray) -> np.ndarray:
+            return np.asarray(transform.forward(problem.residual_batch(V)), dtype=float)
+
+        def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+            scale_rows = np.asarray(transform.derivative(problem.residual_batch(V)), dtype=float)
+            return problem.vjp_batch(V, scale_rows * Y)
+
     return ResidualProblem(
         name=f"{transform.family}({problem.name})",
         n=problem.n,
@@ -169,6 +178,8 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
         residual=residual,
         jacobian=jacobian,
         weights=problem.weights,
+        residual_batch=residual_batch,
+        vjp_batch=vjp_batch,
     )
 
 
@@ -209,6 +220,15 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
         inv_deriv = 1.0 / np.asarray(transform.derivative(w), dtype=float)
         return eval_jacobian(problem_f, w) * inv_deriv[None, :]
 
+    residual_batch = vjp_batch = None
+    if problem_f.residual_batch is not None:
+        def residual_batch(V: np.ndarray) -> np.ndarray:
+            return problem_f.residual_batch(np.asarray(transform.inverse(V), dtype=float))
+
+        def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+            W = np.asarray(transform.inverse(V), dtype=float)
+            return problem_f.vjp_batch(W, Y) / np.asarray(transform.derivative(W), dtype=float)
+
     if problem_f.is_quadratic and transform.family == "scale":
         mu = transform.params["mu"]
         name = "quadratic"
@@ -224,6 +244,8 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
         jacobian=jacobian,
         weights=problem_f.weights,
         params=params,
+        residual_batch=residual_batch,
+        vjp_batch=vjp_batch,
     )
 
 

@@ -1,0 +1,182 @@
+"""The optional batched hooks of a problem and the screen that uses them.
+
+The screen in ``domination_constant_sampled`` may only narrow the points
+the per-point loop visits, never change the constant it returns, so every
+estimate here is compared exactly with the same call on a copy of the
+problem whose hooks are removed.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from zerocert import (
+    Ball,
+    InputShapeError,
+    InvalidConfigurationError,
+    ResidualProblem,
+    SamplingConfig,
+    apply_dependent,
+    certify,
+    cubic_perturbation,
+    domination_constant_sampled,
+    eval_jacobian,
+    eval_residual,
+    linear_scale,
+    make_bvp,
+    make_quadratic,
+    recover_problem_dependent,
+    recover_problem_independent,
+    scale,
+)
+from zerocert import certificate
+
+SIN_CENTER = {n: np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in (4, 10)}
+
+
+def per_point(problem):
+    return dataclasses.replace(problem, residual_batch=None, vjp_batch=None)
+
+
+HOOKED = {
+    "quadratic": make_quadratic(1.5),
+    "quadratic-negative": make_quadratic(-0.5),
+    **{
+        f"bvp-gamma{gamma:g}{'-weighted' if weighted else ''}": make_bvp(
+            6, gamma, "manufactured_sin", quadrature_weights=weighted
+        )
+        for gamma in (-1.0, 0.0, 1.0)
+        for weighted in (False, True)
+    },
+    "independent-scale": recover_problem_independent(scale(-2.5), make_bvp(5, 1.0, "sin_pi")),
+    "dependent-linear": apply_dependent(linear_scale(-3.0), make_bvp(5, 1.0, "sin_pi", True)),
+    "dependent-cubic": apply_dependent(cubic_perturbation(0.5), make_bvp(5, -1.0, "sin_pi")),
+    "recover-linear": recover_problem_dependent(linear_scale(0.25), make_bvp(5, 1.0, "sin_pi")),
+    "recover-cubic": recover_problem_dependent(cubic_perturbation(0.5), make_quadratic(2.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
+def test_batched_hooks_match_per_point_evaluation(name):
+    p = HOOKED[name]
+    rng = np.random.default_rng(7)
+    V = rng.normal(scale=2.0, size=(9, p.n))
+    Y = rng.normal(size=(9, p.m))
+    R = p.residual_batch(V)
+    G = p.vjp_batch(V, Y)
+    assert R.shape == (9, p.m) and G.shape == (9, p.n)
+    for v, y, r, g in zip(V, Y, R, G):
+        if name == "recover-cubic":
+            # the cubic inverse iterates until the whole batch converges, so
+            # a row can take more Newton steps than the point alone
+            np.testing.assert_allclose(r, eval_residual(p, v), rtol=1e-13, atol=1e-13)
+        else:
+            np.testing.assert_array_equal(r, eval_residual(p, v))
+        jac = eval_jacobian(p, v)
+        assert np.all(np.abs(g - jac.T @ y) <= 1e-13 * (np.abs(jac).T @ np.abs(y)))
+
+
+def test_problems_without_hooks_keep_none_through_transforms():
+    plain = per_point(make_bvp(4, 1.0))
+    for p in (
+        recover_problem_independent(scale(2.0), plain),
+        apply_dependent(cubic_perturbation(1.0), plain),
+        recover_problem_dependent(linear_scale(2.0), plain),
+    ):
+        assert p.residual_batch is None and p.vjp_batch is None
+
+
+def test_hooks_must_come_in_pairs():
+    q = make_quadratic(1.0)
+    with pytest.raises(InvalidConfigurationError):
+        dataclasses.replace(q, vjp_batch=None)
+    with pytest.raises(InvalidConfigurationError):
+        dataclasses.replace(per_point(q), residual_batch=q.residual_batch)
+
+
+def test_batched_output_shapes_are_checked():
+    q = make_quadratic(1.0)
+    ball = Ball(np.array([2.0]), 0.5)
+    wrong_residual = dataclasses.replace(q, residual_batch=lambda V: V[:, 0])
+    with pytest.raises(InputShapeError, match="residual_batch"):
+        domination_constant_sampled(wrong_residual, ball, samples_per_axis=11)
+    wrong_vjp = dataclasses.replace(q, vjp_batch=lambda V, Y: Y[:-1])
+    with pytest.raises(InputShapeError, match="vjp_batch"):
+        domination_constant_sampled(wrong_vjp, ball, samples_per_axis=11)
+
+
+SAME_C = [
+    *[
+        (f"bvp{n}{'-weighted' if w else ''}-{where}", make_bvp(n, 1.0, "manufactured_sin", w),
+         Ball(center, radius), spa)
+        for n, spa in ((4, 6), (10, 2))
+        for w in (False, True)
+        for where, center, radius in (("origin", np.zeros(n), 0.5),
+                                      ("sin", SIN_CENTER[n], 0.1))
+    ],
+    ("quadratic", make_quadratic(1.0), Ball(np.array([2.0]), 0.5), 1001),
+    # the grid 0.5, 0.501, ..., 1.5 holds the zero 1.0 exactly: it sits
+    # below the residual floor and is excluded on both paths
+    ("quadratic-zero-on-grid", make_quadratic(1.0), Ball(np.array([1.0]), 0.5), 1001),
+    ("quadratic-negative", make_quadratic(-2.0), Ball(np.array([-0.3]), 0.2), 401),
+    ("scaled-bvp", recover_problem_independent(scale(0.75), make_bvp(4, 1.0, "sin_pi")),
+     Ball(np.zeros(4), 0.5), 6),
+    ("cubic-bvp", apply_dependent(cubic_perturbation(0.1), make_bvp(4, -1.0, "sin_pi", True)),
+     Ball(SIN_CENTER[4], 0.3), 6),
+]
+
+
+@pytest.mark.parametrize("name,problem,ball,spa", SAME_C, ids=[case[0] for case in SAME_C])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_screen_leaves_the_sampled_constant_bit_identical(name, problem, ball, spa, seed):
+    batched = domination_constant_sampled(problem, ball, spa, seed=seed)
+    looped = domination_constant_sampled(per_point(problem), ball, spa, seed=seed)
+    assert batched == looped
+    assert batched > 0.0
+
+
+def test_screen_keeps_points_near_the_residual_floor():
+    # a floor inside the range of sampled norms: the points excluded and
+    # kept by it must match the per-point decision exactly
+    q = make_quadratic(1.0)
+    ball = Ball(np.array([1.0]), 0.5)
+    for floor in (0.01, 0.25, 1.0 - 0.75**2):
+        batched = domination_constant_sampled(q, ball, 1001, residual_floor=floor)
+        assert batched == domination_constant_sampled(per_point(q), ball, 1001, residual_floor=floor)
+
+
+def test_non_finite_batch_keeps_every_point():
+    p = make_bvp(4, 1.0, "manufactured_sin")
+    ball = Ball(np.full(4, 1e110), 0.5)
+    with np.errstate(all="ignore"):
+        batched = domination_constant_sampled(p, ball, 6)
+        looped = domination_constant_sampled(per_point(p), ball, 6)
+    assert batched == looped == 0.0
+
+
+def test_sampled_certify_recomputes_only_the_candidates(monkeypatch):
+    # 65 536 points; the per-point loop over all of them takes seconds, the
+    # screen leaves one or two candidates
+    calls = []
+    original = certificate.grad_phi
+    monkeypatch.setattr(certificate, "grad_phi", lambda p, v: calls.append(1) or original(p, v))
+    p = make_bvp(16, 1.0, "manufactured_sin")
+    cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
+    assert cert.sample_count == 65536
+    assert cert.c > 0.0
+    assert 1 <= len(calls) <= 8
+
+
+def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
+    calls = []
+    original = certificate.grad_phi
+    monkeypatch.setattr(certificate, "grad_phi", lambda p, v: calls.append(1) or original(p, v))
+    user = ResidualProblem(
+        name="user", n=1, m=1,
+        residual=lambda v: np.array([v[0] ** 2 - 1.0]),
+        jacobian=lambda v: np.array([[2.0 * v[0]]]),
+    )
+    c = domination_constant_sampled(user, Ball(np.array([2.0]), 0.5), samples_per_axis=101)
+    assert c == pytest.approx(2.7)
+    assert len(calls) == 101

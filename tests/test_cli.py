@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from zerocert import cli
@@ -369,3 +370,23 @@ def test_seed_flag_changes_sampling(tmp_path, capsys):
     assert rc1 == rc2 == 0
     assert rep1["seed"] == 1 and rep2["seed"] == 2
     assert rep1["certificate"]["c"] != rep2["certificate"]["c"]
+
+
+@pytest.mark.parametrize("problem,center,lhs", [
+    ({"name": "quadratic", "lambda": 1.0}, [1.2e77], "1.4399999999999997e+154"),
+    ({"name": "quadratic", "lambda": 1.0}, [1e100], "9.9999999999999997e+199"),
+    ({"name": "bvp", "grid_points": 4, "gamma": 1.0}, [2.2e51] * 4, "2.1295999999999997e+154"),
+], ids=["quadratic-1.2e77", "quadratic-1e100", "bvp-sum-overflow"])
+def test_certify_reports_a_residual_norm_whose_square_overflows(tmp_path, capsys, problem,
+                                                                center, lhs):
+    # ||F(x)|| is representable but its square is not: the quadratic used to
+    # exit 3 with "non-finite value inf in report", the BVP to die with an
+    # OverflowError traceback from math.fsum
+    cfg = {"problem": problem, "ball": {"center": center, "radius": 0.5},
+           "certificate": {"method": "sampled", "samples_per_axis": 2 if len(center) > 1 else 101}}
+    with np.errstate(all="ignore"):
+        rc, report = run(tmp_path, "certify", cfg)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith(f"FAIL lhs={lhs} rhs=0 ")
+    assert report["certificate"]["lhs"] == float(lhs)

@@ -10,6 +10,7 @@ from zerocert import (
     make_bvp,
     make_quadratic,
     phi,
+    residual_norm,
 )
 
 
@@ -89,3 +90,21 @@ def test_weighted_norm_gradient_consistent():
     rng = np.random.default_rng(13)
     rep = check_gradient(p, rng.uniform(-1.0, 1.0, size=12))
     assert rep.max_relative_error <= 1e-6
+
+
+def test_residual_norm_survives_an_overflowing_square():
+    # F = 1.44e154: F**2 overflows, ||F|| does not
+    with np.errstate(over="ignore"):
+        assert residual_norm(make_quadratic(1.0), [1.2e77]) == pytest.approx(1.44e154, rel=1e-15)
+    # four finite squares near 1e308 whose sum overflows inside math.fsum
+    bvp = make_bvp(4, 1.0)
+    v = np.full(4, 2.2e51)
+    expected = np.linalg.norm(eval_residual(bvp, v) / 1e154) * 1e154
+    assert residual_norm(bvp, v) == pytest.approx(expected, rel=1e-15)
+    weighted = make_bvp(4, 1.0, quadrature_weights=True)
+    assert residual_norm(weighted, v) == pytest.approx(expected * np.sqrt(0.2), rel=1e-15)
+
+
+def test_residual_norm_of_a_non_finite_residual_stays_non_finite():
+    with np.errstate(all="ignore"):
+        assert residual_norm(make_bvp(4, 1.0), np.full(4, 1e110)) == np.inf
