@@ -19,7 +19,7 @@ ball.  Sampled certificates are advisory (an estimate, not a proven bound).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class Ball:
         v = np.asarray(v, dtype=float)
         return float(np.linalg.norm(v - self.center)) <= self.radius + tol
 
-    def to_dict(self) -> dict:
-        return {"center": [float(c) for c in self.center], "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -110,8 +107,9 @@ class Certificate:
     ``lhs`` is ||F(x)||, ``rhs`` is r*c, ``passed`` is the non-strict
     comparison lhs <= rhs (ties pass), and ``slack = rhs - lhs``.  A passed
     certificate asserts a zero of F exists in the ball; when the method is
-    "sampled" the constant is an estimate and the certificate is advisory.
-    Build one with :meth:`judge`, which holds the verdict rule.
+    "sampled" the constant is an estimate and the certificate is advisory
+    (``advisory`` is set from ``method``).  Build one with :meth:`judge`,
+    which holds the verdict rule.
     """
 
     ball: Ball
@@ -122,6 +120,10 @@ class Certificate:
     passed: bool
     method: str
     sample_count: int = 0
+    advisory: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "advisory", self.method == METHOD_SAMPLED)
 
     @classmethod
     def judge(cls, ball: Ball, c: float, lhs: float, method: str,
@@ -134,23 +136,6 @@ class Certificate:
         passed = math.isfinite(lhs) and math.isfinite(c) and lhs <= rhs
         return cls(ball=ball, c=c, lhs=lhs, rhs=rhs, slack=rhs - lhs, passed=passed,
                    method=method, sample_count=sample_count)
-
-    @property
-    def advisory(self) -> bool:
-        return self.method == METHOD_SAMPLED
-
-    def to_dict(self) -> dict:
-        return {
-            "ball": self.ball.to_dict(),
-            "c": self.c,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "passed": self.passed,
-            "method": self.method,
-            "sample_count": self.sample_count,
-            "advisory": self.advisory,
-        }
 
 
 def quadratic_domination_constant(lam: float, x: float, r: float) -> float:

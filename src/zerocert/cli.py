@@ -5,8 +5,9 @@ optional CSV artifacts); certify, search and solve share one pipeline,
 :func:`run_command`.  Value ranges are checked by the constructors the values
 go to (``make_bvp``, ``Ball``, ``SamplingConfig``, ``build_mu_grid``, ...).
 Exit codes: 0 = ran to completion (verdicts may still be FAIL), 1 = selftest
-failure, 2 = config error (including out-of-range values and any NaN or
-infinite number; caught before any stage runs), 3 = runtime error.
+failure, 2 = config error (including out-of-range values, any NaN or
+infinite number and any key the schema below does not list; caught before
+any stage runs), 3 = runtime error.
 
 Config file schema (defaults in parentheses):
 
@@ -40,6 +41,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -74,24 +76,56 @@ _KINDS = {
 }
 
 
-def _get(section: dict, key: str, path: str, kind: str, required: bool = True, default=None):
-    dotted = f"{path}.{key}" if path else key
+# every key a config section may set, with the kind of its value; "" is the top level
+_SCHEMA = {
+    "": {"problem": "dict", "ball": "dict", "certificate": "dict", "transform": "dict",
+         "descent": "dict", "output": "dict", "seed": "int"},
+    "problem": {"name": "string", "lambda": "number", "grid_points": "int", "gamma": "number",
+                "forcing": "string", "quadrature_weights": "bool"},
+    "ball": {"center": "list", "radius": "number"},
+    "certificate": {"method": "string", "samples_per_axis": "int", "residual_floor": "number",
+                    "safety": "number"},
+    "transform": {"family": "string", "mu_min": "number", "mu_max": "number", "grid_size": "int",
+                  "spacing": "string"},
+    "descent": {"residual_tolerance": "number", "max_iterations": "int", "initial_step": "number",
+                "backtrack_factor": "number", "sufficient_decrease": "number",
+                "ball_policy": "string", "direction": "string"},
+    "output": {"report": "string", "sweep_csv": "string", "trace_csv": "string"},
+}
+
+
+def _dotted(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def _check_keys(cfg: dict) -> None:
+    """Raise ConfigError naming the first key, top-level or in a section, that no schema lists."""
+    sections = [("", cfg)] + [(name, cfg[name]) for name in _SCHEMA[""]
+                              if isinstance(cfg.get(name), dict)]
+    for path, section in sections:
+        for key in section:
+            if key not in _SCHEMA[path]:
+                raise ConfigError(f"{_dotted(path, key)}: unknown key")
+
+
+def _get(section: dict, key: str, path: str, required: bool = True, default=None):
+    dotted = _dotted(path, key)
     if key not in section:
         if required:
             raise ConfigError(f"{dotted}: missing required key")
         return default
     value = section[key]
-    allowed = _KINDS[kind]
+    kind = _SCHEMA[path][key]
     if kind in ("number", "int") and isinstance(value, bool):
         raise ConfigError(f"{dotted}: expected a {kind}, got a bool")
-    if not isinstance(value, allowed):
+    if not isinstance(value, _KINDS[kind]):
         raise ConfigError(f"{dotted}: expected a {kind}, got {type(value).__name__}")
     return value
 
 
-def _present(section: dict, path: str, kinds: dict) -> dict:
-    """The keys of ``kinds`` that ``section`` sets, type-checked; the rest keep their defaults."""
-    return {key: _get(section, key, path, kind) for key, kind in kinds.items() if key in section}
+def _present(section: dict, path: str) -> dict:
+    """The keys of section ``path`` that ``section`` sets, type-checked; the rest keep their defaults."""
+    return {key: _get(section, key, path) for key in _SCHEMA[path] if key in section}
 
 
 def _finite_number(token: str, convert=float):
@@ -127,26 +161,26 @@ def _section(name: str):
 
 
 def build_problem(cfg: dict) -> ResidualProblem:
-    pcfg = _get(cfg, "problem", "", "dict")
-    name = _get(pcfg, "name", "problem", "string")
+    pcfg = _get(cfg, "problem", "")
+    name = _get(pcfg, "name", "problem")
     with _section("problem"):
         if name == "quadratic":
-            return make_quadratic(float(_get(pcfg, "lambda", "problem", "number")))
+            return make_quadratic(float(_get(pcfg, "lambda", "problem")))
         if name == "bvp":
             return make_bvp(
-                _get(pcfg, "grid_points", "problem", "int"),
-                float(_get(pcfg, "gamma", "problem", "number", required=False, default=0.0)),
-                _get(pcfg, "forcing", "problem", "string", required=False, default="zero"),
-                quadrature_weights=_get(pcfg, "quadrature_weights", "problem", "bool",
+                _get(pcfg, "grid_points", "problem"),
+                float(_get(pcfg, "gamma", "problem", required=False, default=0.0)),
+                _get(pcfg, "forcing", "problem", required=False, default="zero"),
+                quadrature_weights=_get(pcfg, "quadrature_weights", "problem",
                                         required=False, default=False),
             )
     raise ConfigError(f"problem.name: unknown problem {name!r}")
 
 
 def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
-    bcfg = _get(cfg, "ball", "", "dict")
-    center = _get(bcfg, "center", "ball", "list")
-    radius = _get(bcfg, "radius", "ball", "number")
+    bcfg = _get(cfg, "ball", "")
+    center = _get(bcfg, "center", "ball")
+    radius = _get(bcfg, "radius", "ball")
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center):
         raise ConfigError("ball.center: entries must be numbers")
     if len(center) != problem.n:
@@ -159,27 +193,27 @@ def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
 
 
 def build_certificate_settings(cfg: dict, problem: ResidualProblem, seed: int):
-    ccfg = _get(cfg, "certificate", "", "dict", required=False, default={})
-    method = _get(ccfg, "method", "certificate", "string", required=False, default=METHOD_SAMPLED)
+    ccfg = _get(cfg, "certificate", "", required=False, default={})
+    settings = _present(ccfg, "certificate")
+    method = settings.pop("method", METHOD_SAMPLED)
     with _section("certificate"):
         check_method(problem, method)
-        sampling = SamplingConfig(seed=seed, **_present(ccfg, "certificate", {
-            "samples_per_axis": "int", "residual_floor": "number", "safety": "number"}))
+        sampling = SamplingConfig(seed=seed, **settings)
     return method, sampling
 
 
 def build_transform_settings(cfg: dict, required: bool):
-    tcfg = _get(cfg, "transform", "", "dict", required=required, default=None)
+    tcfg = _get(cfg, "transform", "", required=required, default=None)
     if tcfg is None:
         return None
-    family = _get(tcfg, "family", "transform", "string", required=False, default="scale")
+    family = _get(tcfg, "family", "transform", required=False, default="scale")
     if family != "scale":
         raise ConfigError(f"transform.family: only 'scale' is searchable, got {family!r}")
     settings = {
-        "mu_range": (float(_get(tcfg, "mu_min", "transform", "number")),
-                     float(_get(tcfg, "mu_max", "transform", "number"))),
-        "grid_size": _get(tcfg, "grid_size", "transform", "int", required=False, default=51),
-        "spacing": _get(tcfg, "spacing", "transform", "string", required=False, default="linear"),
+        "mu_range": (float(_get(tcfg, "mu_min", "transform")),
+                     float(_get(tcfg, "mu_max", "transform"))),
+        "grid_size": _get(tcfg, "grid_size", "transform", required=False, default=51),
+        "spacing": _get(tcfg, "spacing", "transform", required=False, default="linear"),
     }
     with _section("transform"):
         build_mu_grid(**settings)
@@ -187,26 +221,23 @@ def build_transform_settings(cfg: dict, required: bool):
 
 
 def build_descent_config(cfg: dict) -> DescentConfig:
-    dcfg = _get(cfg, "descent", "", "dict", required=False, default={})
+    dcfg = _get(cfg, "descent", "", required=False, default={})
     with _section("descent"):
-        return DescentConfig(**_present(dcfg, "descent", {
-            "residual_tolerance": "number", "max_iterations": "int", "initial_step": "number",
-            "backtrack_factor": "number", "sufficient_decrease": "number",
-            "ball_policy": "string", "direction": "string"}))
+        return DescentConfig(**_present(dcfg, "descent"))
 
 
 def _resolve_seed(cfg: dict, args) -> int:
     if args.seed is not None:
         return args.seed
-    seed = _get(cfg, "seed", "", "int", required=False, default=42)
+    seed = _get(cfg, "seed", "", required=False, default=42)
     return int(seed)
 
 
-def _output_path(cfg: dict, args, key: str, flag_value, default=None):
+def _output_path(cfg: dict, key: str, flag_value, default=None):
     if flag_value:
         return flag_value
-    ocfg = _get(cfg, "output", "", "dict", required=False, default={})
-    return _get(ocfg, key, "output", "string", required=False, default=default)
+    ocfg = _get(cfg, "output", "", required=False, default={})
+    return _get(ocfg, key, "output", required=False, default=default)
 
 
 def _problem_summary(problem: ResidualProblem) -> dict:
@@ -222,7 +253,7 @@ def _problem_summary(problem: ResidualProblem) -> dict:
 def _gradient_check_summary(problem: ResidualProblem, ball: Ball) -> dict:
     rep = check_gradient(problem, ball.center)
     return {
-        "point": [float(x) for x in rep.point],
+        "point": rep.point,
         "max_relative_error": rep.max_relative_error,
     }
 
@@ -244,6 +275,7 @@ def run_command(command: str, cfg: dict, args) -> dict:
     search (search; solve with a ``transform`` block) and descent (solve),
     on the problem the search relaxed when it found a passing mu.
     """
+    _check_keys(cfg)
     seed = _resolve_seed(cfg, args)
     problem = build_problem(cfg)
     ball = build_ball(cfg, problem)
@@ -265,7 +297,7 @@ def run_command(command: str, cfg: dict, args) -> dict:
         print(f"{'PASS' if certificate.passed else 'FAIL'} lhs={_fmt(certificate.lhs)} "
               f"rhs={_fmt(certificate.rhs)} slack={_fmt(certificate.slack)} "
               f"c={_fmt(certificate.c)} method={certificate.method}")
-        report["certificate"] = certificate.to_dict()
+        report["certificate"] = certificate
 
     found = None
     if tset is not None:
@@ -276,15 +308,15 @@ def run_command(command: str, cfg: dict, args) -> dict:
             print(f"note: excluded mu in (-{_fmt(found.zero_exclusion)}, {_fmt(found.zero_exclusion)})")
         word = "PASS" if found.any_passed else "FAIL"
         print(f"{word} best mu={_fmt(found.best_parameter)} slack={_fmt(found.certificate.slack)}")
-        sweep_csv = _output_path(cfg, args, "sweep_csv", args.sweep_csv)
+        sweep_csv = _output_path(cfg, "sweep_csv", args.sweep_csv)
         if sweep_csv:
             report_io.write_sweep_csv(sweep_csv, found.sweep)
-        report["transform_search"] = found.to_dict()
+        report["transform_search"] = found
 
     if solving:
         transform = scale(found.best_parameter) if found is not None and found.any_passed else None
         target = recover_problem_independent(transform, problem) if transform else problem
-        trace_csv = _output_path(cfg, args, "trace_csv", args.trace_csv)
+        trace_csv = _output_path(cfg, "trace_csv", args.trace_csv)
         t0 = time.perf_counter()
         result = solve(target, ball, descent_cfg, record_trace=bool(trace_csv))
         timings["descent_s"] = time.perf_counter() - t0
@@ -296,9 +328,8 @@ def run_command(command: str, cfg: dict, args) -> dict:
         print(f"{result.status} iterations={result.iterations} "
               f"residual={_fmt(final_residual)} {_print_point('u', u)} "
               f"{'VERIFIED' if verified else 'FAIL'}")
-        descent = result.to_dict()
-        descent["u_pulled_back"] = [float(x) for x in u]
-        descent["original_residual_norm"] = final_residual
+        descent = {f.name: getattr(result, f.name) for f in fields(result) if f.name != "trace"}
+        descent.update(u_pulled_back=u, original_residual_norm=final_residual)
         report.update(descent=descent, verified=verified)
     report["timings"] = timings
     return report
@@ -335,7 +366,7 @@ def main(argv=None) -> int:
                 return run_selftest(args.seed if args.seed is not None else 42)
         cfg = load_config(args.config)
         report = run_command(args.command, cfg, args)
-        report_path = _output_path(cfg, args, "report", args.report,
+        report_path = _output_path(cfg, "report", args.report,
                                    default=f"{args.command}_report.json")
         report_io.write_json(report_path, report)
     except ConfigError as exc:

@@ -83,23 +83,6 @@ class DescentResult:
     status: str
     trace: tuple | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "u": [float(x) for x in self.u],
-            "residual_norm": self.residual_norm,
-            "iterations": self.iterations,
-            "in_ball": self.in_ball,
-            "status": self.status,
-        }
-
-
-def _project_to_ball(v: np.ndarray, ball: Ball) -> np.ndarray:
-    offset = v - ball.center
-    dist = float(np.linalg.norm(offset))
-    if dist <= ball.radius:
-        return v
-    return ball.center + offset * (ball.radius / dist)
-
 
 def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarray | None:
     f = eval_residual(problem, v)
@@ -169,7 +152,8 @@ def solve(
                 if cfg.ball_policy == REJECT_OUTSIDE:
                     t *= cfg.backtrack_factor
                     continue
-                trial = _project_to_ball(trial, ball)
+                offset = trial - ball.center
+                trial = ball.center + offset * (ball.radius / float(np.linalg.norm(offset)))
             if phi(problem, trial) <= phi_v + cfg.sufficient_decrease * t * slope:
                 accepted = True
                 candidate = trial

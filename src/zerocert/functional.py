@@ -37,7 +37,10 @@ def _weights(problem: ResidualProblem) -> np.ndarray | float:
 def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
     # compensated summation: plain accumulation noise on stiff problems is
     # large enough to corrupt finite differences of phi
-    return math.fsum(_weights(problem) * r * r)
+    try:
+        return math.fsum(_weights(problem) * r * r)
+    except OverflowError:  # finite terms whose sum overflows
+        return math.inf
 
 
 def residual_norm(problem: ResidualProblem, v) -> float:
@@ -48,10 +51,7 @@ def residual_norm(problem: ResidualProblem, v) -> float:
     while it is representable.
     """
     r = eval_residual(problem, v)
-    try:
-        square_sum = _weighted_square_sum(problem, r)
-    except OverflowError:  # fsum of finite terms whose sum overflows
-        square_sum = math.inf
+    square_sum = _weighted_square_sum(problem, r)
     if square_sum == math.inf and np.isfinite(r).all():
         s = float(np.max(np.abs(r)))
         return s * math.sqrt(_weighted_square_sum(problem, r / s))

@@ -131,8 +131,9 @@ def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
     if not np.isfinite(lam):
         raise InvalidConfigurationError("lambda must be finite")
 
+    # one formula for a point (shape (1,)) and for a batch of points (shape (k, 1))
     def residual(v: np.ndarray) -> np.ndarray:
-        return np.array([lam * v[0] * v[0] - 1.0])
+        return lam * v * v - 1.0
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         return np.array([[2.0 * lam * v[0]]])
@@ -144,7 +145,7 @@ def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
         residual=residual,
         jacobian=jacobian,
         params={"lambda": lam},
-        residual_batch=lambda V: lam * V * V - 1.0,
+        residual_batch=residual,
         vjp_batch=lambda V, Y: 2.0 * lam * V * Y,
     )
 
@@ -208,9 +209,11 @@ def make_bvp(
         )
     inv_h2 = 1.0 / (h * h)
 
+    # one stencil along the last axis, for a point (n,) and for a batch of points (k, n)
     def residual(v: np.ndarray) -> np.ndarray:
-        padded = np.concatenate(([0.0], v, [0.0]))
-        second = (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) * inv_h2
+        zero = np.zeros(v.shape[:-1] + (1,))
+        padded = np.concatenate((zero, v, zero), axis=-1)
+        second = (padded[..., :-2] - 2.0 * padded[..., 1:-1] + padded[..., 2:]) * inv_h2
         return -second + gamma * v**3 - f_vals
 
     def jacobian(v: np.ndarray) -> np.ndarray:
@@ -221,12 +224,7 @@ def make_bvp(
         jac[idx[1:], idx[1:] - 1] = -inv_h2
         return jac
 
-    # the batched form works on rows as stencils and builds no Jacobian
-    def residual_batch(V: np.ndarray) -> np.ndarray:
-        padded = np.pad(V, ((0, 0), (1, 1)))
-        second = (padded[:, :-2] - 2.0 * padded[:, 1:-1] + padded[:, 2:]) * inv_h2
-        return -second + gamma * V**3 - f_vals
-
+    # the batched VJP works on rows as stencils and builds no Jacobian
     def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
         neighbours = np.pad(Y, ((0, 0), (1, 1)))
         diagonal = 2.0 * inv_h2 + 3.0 * gamma * V**2
@@ -240,6 +238,6 @@ def make_bvp(
         jacobian=jacobian,
         weights=h * np.ones(n) if quadrature_weights else None,
         params={"grid_points": n, "gamma": gamma, "forcing": forcing_name},
-        residual_batch=residual_batch,
+        residual_batch=residual,
         vjp_batch=vjp_batch,
     )

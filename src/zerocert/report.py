@@ -2,7 +2,9 @@
 
 The JSON report is written by ``json.dumps``, whose floats take Python's
 shortest spelling that round-trips; the CSVs (like stdout) print floats with
-17 significant digits, which round-trip too.  Given a fixed config (and seed)
+17 significant digits, which round-trip too.  A result dataclass is written
+as the object of its fields in declaration order, and a numpy array or
+scalar as its list or number.  Given a fixed config (and seed)
 the emitted bytes are deterministic apart from the timing fields, and a NaN
 or infinite value is an error, never written.
 """
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
 
@@ -24,8 +27,17 @@ def format_float(v: float) -> str:
     return format(v, ".17g")
 
 
+def _plain(obj):
+    # shallow on purpose: dataclasses.asdict would deep-copy every array first
+    if is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -16,7 +16,7 @@ B(v) = mu*v.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -333,24 +333,13 @@ class TransformSearchResult:
     """
 
     best_parameter: float
+    any_passed: bool
+    zero_exclusion: float | None
     certificate: Certificate
     sweep: list[SweepPoint]
-    any_passed: bool
-    zero_exclusion: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "best_parameter": self.best_parameter,
-            "any_passed": self.any_passed,
-            "zero_exclusion": self.zero_exclusion,
-            "certificate": self.certificate.to_dict(),
-            "sweep": [asdict(p) for p in self.sweep],
-        }
 
 
 def _branch_grid(lo: float, hi: float, count: int, spacing: str) -> np.ndarray:
-    if count <= 0:
-        return np.empty(0)
     if spacing == "geometric":
         return np.geomspace(lo, hi, count)
     return np.linspace(lo, hi, count)
@@ -430,8 +419,6 @@ def search_mu(
             f"ball center has dimension {ball.n}, problem expects {problem.n}"
         )
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
-    if grid.size == 0:
-        raise InvalidConfigurationError("mu grid is empty")
 
     entries: list[tuple[float, Certificate]] = []
     for mu in grid:
@@ -454,8 +441,8 @@ def search_mu(
     ]
     return TransformSearchResult(
         best_parameter=best_mu,
-        certificate=best_cert,
-        sweep=sweep,
         any_passed=bool(passing),
         zero_exclusion=zero_exclusion,
+        certificate=best_cert,
+        sweep=sweep,
     )

@@ -115,6 +115,34 @@ def test_out_of_range_values_are_config_errors_naming_section_and_key(
     assert section in err and key in err
 
 
+@pytest.mark.parametrize("command, section, key", [
+    ("solve", "", "certficate"),
+    ("solve", "problem", "lamda"),
+    ("solve", "ball", "centre"),
+    ("solve", "certificate", "samples_per_axes"),
+    ("solve", "transform", "gridsize"),
+    ("solve", "descent", "max_iteration"),
+    ("solve", "output", "reprot"),
+    ("certify", "descent", "max_iteration"),
+])
+def test_unknown_keys_are_config_errors(tmp_path, capsys, command, section, key):
+    # a misspelled key used to be ignored and its default used instead
+    cfg = {
+        "problem": {"name": "quadratic", "lambda": 1.0},
+        "ball": {"center": [2.0], "radius": 0.5},
+        "certificate": {"method": "closed_form_quadratic"},
+        "transform": {"mu_min": 0.5, "mu_max": 3.0, "grid_size": 3},
+        "descent": {"max_iterations": 5},
+        "output": {},
+    }
+    (cfg[section] if section else cfg)[key] = 5
+    rc, report = run(tmp_path, command, cfg)
+    out, err = capsys.readouterr()
+    dotted = f"{section}.{key}" if section else key
+    assert rc == 2 and report is None and out == ""
+    assert err == f"config error: {dotted}: unknown key\n"
+
+
 @pytest.mark.parametrize("edit", [
     lambda text: text.replace('"center": [2.0]', '"center": [NaN]'),
     lambda text: text.replace('"radius": 0.5', '"radius": 1e400'),
@@ -390,3 +418,18 @@ def test_certify_reports_a_residual_norm_whose_square_overflows(tmp_path, capsys
     assert rc == 0
     assert out.startswith(f"FAIL lhs={lhs} rhs=0 ")
     assert report["certificate"]["lhs"] == float(lhs)
+
+
+def test_solve_stalls_where_phi_overflows(tmp_path, capsys):
+    # phi's sum of squares overflows at this centre: descent died with an
+    # "intermediate overflow in fsum" traceback from math.fsum (exit 1)
+    cfg = {"problem": {"name": "bvp", "grid_points": 4, "gamma": 1.0},
+           "ball": {"center": [2.2e51] * 4, "radius": 0.5},
+           "descent": {"max_iterations": 5}}
+    with np.errstate(all="ignore"):
+        rc, report = run(tmp_path, "solve", cfg)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("stalled iterations=0 residual=2.1295999999999997e+154 ")
+    assert out.rstrip().endswith(" FAIL")
+    assert report["descent"]["status"] == "stalled" and report["verified"] is False

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from zerocert import (
     make_quadratic,
     pull_back_zero,
     recover_problem_independent,
+    report,
     scale,
     search_mu,
     solve,
@@ -81,6 +84,17 @@ def test_gauss_newton_accelerates_bvp():
     assert np.max(np.abs(result.u - np.sin(np.pi * t))) <= 1e-2
 
 
+def test_weighted_gauss_newton_finds_the_unweighted_solution():
+    # quadrature weights change the norm, not the zero: for square J the
+    # weighted least-squares step is the Newton step
+    cfg = DescentConfig(direction="gauss_newton")
+    ball = Ball(np.zeros(16), 10.0)
+    weighted = solve(make_bvp(16, 1.0, "manufactured_sin", quadrature_weights=True), ball, cfg)
+    plain = solve(make_bvp(16, 1.0, "manufactured_sin"), ball, cfg)
+    assert weighted.status == "converged" and weighted.iterations == 4
+    assert np.max(np.abs(weighted.u - plain.u)) <= 1e-14
+
+
 def test_certified_pipeline_end_to_end():
     q = make_quadratic(1.0)
     ball = Ball(np.array([2.0]), 0.5)
@@ -121,7 +135,7 @@ def test_descent_config_validation():
 
 def test_result_serializes():
     result = solve(make_quadratic(1.0), Ball(np.array([1.2]), 0.5))
-    d = result.to_dict()
+    d = json.loads(report.dumps(result))
     assert d["status"] == "converged"
     assert d["in_ball"] is True
     assert isinstance(d["u"], list)
