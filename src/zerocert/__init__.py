@@ -41,7 +41,6 @@ from .functional import (
     residual_norm,
 )
 from .problems import (
-    QuadraticParams,
     ResidualProblem,
     bvp_forcing,
     eval_jacobian,
@@ -87,7 +86,6 @@ __all__ = [
     "InvalidParameterError",
     "METHOD_CLOSED_FORM",
     "METHOD_SAMPLED",
-    "QuadraticParams",
     "ResidualProblem",
     "SamplingConfig",
     "SingularRatioError",

@@ -25,7 +25,7 @@ import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError, InvalidMethodError
 from .functional import grad_phi, residual_norm
-from .problems import ResidualProblem
+from .problems import ResidualProblem, checked_output
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
@@ -223,17 +223,8 @@ def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, 
     return sample_ball(ball.center, ball.radius, count, seed)
 
 
-def _checked_batch(problem: ResidualProblem, hook: str, out, shape: tuple) -> np.ndarray:
-    out = np.asarray(out, dtype=float)
-    if out.shape != shape:
-        raise InputShapeError(
-            f"{hook} of {problem.name!r} returned shape {out.shape}, expected {shape}"
-        )
-    return out
-
-
 def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.ndarray | slice:
-    """The points that can attain the sampled infimum, found with the batched hooks.
+    """The points that can attain the sampled infimum, found in batches of points.
 
     Keeps points clearly above the residual floor whose batched ratio is
     within SCREEN_MARGIN of the least such ratio, and points within
@@ -248,9 +239,8 @@ def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.nd
         for start in range(0, len(points), SCREEN_CHUNK):
             rows = slice(start, start + SCREEN_CHUNK)
             V = points[rows]
-            R = _checked_batch(problem, "residual_batch", problem.residual_batch(V),
-                               (len(V), problem.m))
-            G = _checked_batch(problem, "vjp_batch", problem.vjp_batch(V, w * R),
+            R = checked_output(problem, "residual", problem.residual(V), (len(V), problem.m))
+            G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, w * R),
                                (len(V), problem.n))
             rn[rows] = np.sqrt(np.sum(w * R * R, axis=1))
             ratio[rows] = np.linalg.norm(G, axis=1) / rn[rows]
@@ -282,14 +272,13 @@ def domination_constant_sampled(
     or when any sampled residual norm or ratio is NaN or infinite; both
     yield a conservative certificate.
 
-    A problem with batched hooks (``residual_batch`` and ``vjp_batch``) has
-    its points screened first (:func:`_screen`); only the candidates go
-    through the per-point loop, which gives the same value as running it on
-    every point.
+    A problem with a ``vjp_batch`` has its points screened first
+    (:func:`_screen`); only the candidates go through the per-point loop,
+    which gives the same value as running it on every point.
     """
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
     points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-    if problem.residual_batch is not None:
+    if problem.vjp_batch is not None:
         points = points[_screen(problem, points, cfg.residual_floor)]
     best = np.inf
     for v in points:

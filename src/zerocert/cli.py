@@ -6,8 +6,8 @@ optional CSV artifacts); certify, search and solve share one pipeline,
 go to (``make_bvp``, ``Ball``, ``SamplingConfig``, ``build_mu_grid``, ...).
 Exit codes: 0 = ran to completion (verdicts may still be FAIL), 1 = selftest
 failure, 2 = config error (including out-of-range values, any NaN or
-infinite number and any key the schema below does not list; caught before
-any stage runs), 3 = runtime error.
+infinite number, any key the schema below does not list and a problem key
+of the other family; caught before any stage runs), 3 = runtime error.
 
 Config file schema (defaults in parentheses):
 
@@ -93,6 +93,10 @@ _SCHEMA = {
     "output": {"report": "string", "sweep_csv": "string", "trace_csv": "string"},
 }
 
+# the problem keys each family reads
+_FAMILIES = {"quadratic": ("name", "lambda"),
+             "bvp": ("name", "grid_points", "gamma", "forcing", "quadrature_weights")}
+
 
 def _dotted(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
@@ -116,10 +120,11 @@ def _get(section: dict, key: str, path: str, required: bool = True, default=None
         return default
     value = section[key]
     kind = _SCHEMA[path][key]
+    expected = f"expected {'an' if kind == 'int' else 'a'} {kind}"
     if kind in ("number", "int") and isinstance(value, bool):
-        raise ConfigError(f"{dotted}: expected a {kind}, got a bool")
+        raise ConfigError(f"{dotted}: {expected}, got a bool")
     if not isinstance(value, _KINDS[kind]):
-        raise ConfigError(f"{dotted}: expected a {kind}, got {type(value).__name__}")
+        raise ConfigError(f"{dotted}: {expected}, got {type(value).__name__}")
     return value
 
 
@@ -163,18 +168,21 @@ def _section(name: str):
 def build_problem(cfg: dict) -> ResidualProblem:
     pcfg = _get(cfg, "problem", "")
     name = _get(pcfg, "name", "problem")
+    if name not in _FAMILIES:
+        raise ConfigError(f"problem.name: unknown problem {name!r}")
+    for key in pcfg:
+        if key not in _FAMILIES[name]:
+            raise ConfigError(f"problem.{key}: unknown key for problem {name!r}")
     with _section("problem"):
         if name == "quadratic":
             return make_quadratic(float(_get(pcfg, "lambda", "problem")))
-        if name == "bvp":
-            return make_bvp(
-                _get(pcfg, "grid_points", "problem"),
-                float(_get(pcfg, "gamma", "problem", required=False, default=0.0)),
-                _get(pcfg, "forcing", "problem", required=False, default="zero"),
-                quadrature_weights=_get(pcfg, "quadrature_weights", "problem",
-                                        required=False, default=False),
-            )
-    raise ConfigError(f"problem.name: unknown problem {name!r}")
+        return make_bvp(
+            _get(pcfg, "grid_points", "problem"),
+            float(_get(pcfg, "gamma", "problem", required=False, default=0.0)),
+            _get(pcfg, "forcing", "problem", required=False, default="zero"),
+            quadrature_weights=_get(pcfg, "quadrature_weights", "problem",
+                                    required=False, default=False),
+        )
 
 
 def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
@@ -342,17 +350,18 @@ def make_parser() -> argparse.ArgumentParser:
                     "transform relaxation, and ball-constrained descent.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (
-        ("certify", True), ("search", True), ("solve", True), ("selftest", False),
+    csv_help = {"sweep": "CSV output for transform sweeps",
+                "trace": "CSV output for the descent iteration log"}
+    # the CSV artifacts each command writes; selftest reads no config and writes no file
+    for name, csvs in (
+        ("certify", ()), ("search", ("sweep",)), ("solve", ("sweep", "trace")), ("selftest", None),
     ):
         p = sub.add_parser(name)
-        if needs_config:
+        if csvs is not None:
             p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--report", default=None, help="JSON report output path")
-        p.add_argument("--sweep-csv", dest="sweep_csv", default=None,
-                       help="CSV output for transform sweeps")
-        p.add_argument("--trace-csv", dest="trace_csv", default=None,
-                       help="CSV output for the descent iteration log")
+            p.add_argument("--report", default=None, help="JSON report output path")
+        for kind in csvs or ():
+            p.add_argument(f"--{kind}-csv", dest=f"{kind}_csv", default=None, help=csv_help[kind])
         p.add_argument("--seed", type=int, default=None,
                        help="sampling seed (default 42)")
     return parser

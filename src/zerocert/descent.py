@@ -9,6 +9,7 @@ policy.  Every failure mode is a status, not an exception.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,12 +106,12 @@ def solve(
 ) -> DescentResult:
     """Descend on phi from the ball center, keeping iterates in the ball.
 
-    Steps are accepted once phi decreases by at least
-    sufficient_decrease * t * |<grad phi, direction>| (for steepest descent
-    that is the classical sufficient_decrease * t * ||grad phi||^2); the
-    trial step shrinks by backtrack_factor until then.  Termination:
-    residual below tolerance (converged), iteration budget, or accepted step
-    size underflowing 1e-16 (stalled).  May be run without a certificate, in
+    Steps are accepted once phi at the trial point is finite and decreases
+    by at least sufficient_decrease * t * |<grad phi, direction>| (for
+    steepest descent that is the classical sufficient_decrease * t *
+    ||grad phi||^2); the trial step shrinks by backtrack_factor until then.
+    Termination: residual below tolerance (converged), iteration budget, or
+    accepted step size underflowing 1e-16 (stalled).  May be run without a certificate, in
     which case the result carries no existence guarantee.
     """
     cfg = config or DescentConfig()
@@ -154,7 +155,9 @@ def solve(
                     continue
                 offset = trial - ball.center
                 trial = ball.center + offset * (ball.radius / float(np.linalg.norm(offset)))
-            if phi(problem, trial) <= phi_v + cfg.sufficient_decrease * t * slope:
+            phi_trial = phi(problem, trial)
+            # inf <= inf would accept a step that lowers nothing
+            if math.isfinite(phi_trial) and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
                 accepted = True
                 candidate = trial
                 break

@@ -18,13 +18,6 @@ FD_STEP_SCALE = 1e-6  # per-coordinate central-difference step is FD_STEP_SCALE*
 
 
 @dataclass(frozen=True)
-class QuadraticParams:
-    """Coefficient of the scalar quadratic residual lam*u**2 - 1."""
-
-    lam: float
-
-
-@dataclass(frozen=True)
 class ResidualProblem:
     """A residual map F: R^n -> R^m with optional analytic Jacobian.
 
@@ -35,12 +28,12 @@ class ResidualProblem:
     parameters of built-in families ("quadratic", "bvp") so that closed-form
     code paths can recognize them.
 
-    ``residual_batch`` and ``vjp_batch`` are an optional batched form, set
-    both or neither: ``residual_batch(V)`` maps a (k, n) array of points to
-    the (k, m) array of their residuals, and ``vjp_batch(V, Y)`` returns the
-    (k, n) array whose row i is DF(V[i])^T Y[i].  The sampled domination
-    constant uses them to screen all points at once; without them every
-    point takes the per-point path.
+    ``vjp_batch`` is an optional batched form: ``vjp_batch(V, Y)`` returns
+    the (k, n) array whose row i is DF(V[i])^T Y[i].  A problem that sets it
+    promises that ``residual`` also maps a (k, n) array of points to the
+    (k, m) array of their residuals.  The sampled domination constant uses
+    both to screen all points at once; without ``vjp_batch`` every point
+    takes the per-point path.
     """
 
     name: str
@@ -50,12 +43,7 @@ class ResidualProblem:
     jacobian: Callable[[np.ndarray], np.ndarray] | None = None
     weights: np.ndarray | None = None
     params: Mapping[str, object] = field(default_factory=dict)
-    residual_batch: Callable[[np.ndarray], np.ndarray] | None = None
     vjp_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def __post_init__(self):
-        if (self.residual_batch is None) != (self.vjp_batch is None):
-            raise InvalidConfigurationError("set both residual_batch and vjp_batch, or neither")
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -76,16 +64,20 @@ def _check_vector(problem: ResidualProblem, v) -> np.ndarray:
     return v
 
 
+def checked_output(problem: ResidualProblem, hook: str, out, shape: tuple) -> np.ndarray:
+    """``out`` as a float array; InputShapeError when the ``hook`` returned another shape."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != shape:
+        raise InputShapeError(
+            f"{hook} of {problem.name!r} returned shape {out.shape}, expected {shape}"
+        )
+    return out
+
+
 def eval_residual(problem: ResidualProblem, v) -> np.ndarray:
     """Evaluate F(v) as a length-m vector."""
     v = _check_vector(problem, v)
-    out = np.asarray(problem.residual(v), dtype=float)
-    if out.shape != (problem.m,):
-        raise InputShapeError(
-            f"residual of {problem.name!r} returned shape {out.shape}, "
-            f"expected ({problem.m},)"
-        )
-    return out
+    return checked_output(problem, "residual", problem.residual(v), (problem.m,))
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:
@@ -112,22 +104,16 @@ def eval_jacobian(problem: ResidualProblem, v) -> np.ndarray:
     v = _check_vector(problem, v)
     if problem.jacobian is None:
         return finite_difference_jacobian(problem, v)
-    jac = np.asarray(problem.jacobian(v), dtype=float)
-    if jac.shape != (problem.m, problem.n):
-        raise InputShapeError(
-            f"jacobian of {problem.name!r} returned shape {jac.shape}, "
-            f"expected ({problem.m}, {problem.n})"
-        )
-    return jac
+    return checked_output(problem, "jacobian", problem.jacobian(v), (problem.m, problem.n))
 
 
-def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
+def make_quadratic(lam: float) -> ResidualProblem:
     """Scalar problem F(u) = lam*u**2 - 1 with analytic derivative 2*lam*u.
 
     Zeros sit at +-1/sqrt(lam) for lam > 0; lam = 0 gives the zero-free
     constant map F = -1.
     """
-    lam = float(params.lam if isinstance(params, QuadraticParams) else params)
+    lam = float(lam)
     if not np.isfinite(lam):
         raise InvalidConfigurationError("lambda must be finite")
 
@@ -145,7 +131,6 @@ def make_quadratic(params: QuadraticParams | float) -> ResidualProblem:
         residual=residual,
         jacobian=jacobian,
         params={"lambda": lam},
-        residual_batch=residual,
         vjp_batch=lambda V, Y: 2.0 * lam * V * Y,
     )
 
@@ -238,6 +223,5 @@ def make_bvp(
         jacobian=jacobian,
         weights=h * np.ones(n) if quadrature_weights else None,
         params={"grid_points": n, "gamma": gamma, "forcing": forcing_name},
-        residual_batch=residual,
         vjp_batch=vjp_batch,
     )

@@ -162,13 +162,10 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
         scale_rows = np.asarray(transform.derivative(f), dtype=float)
         return scale_rows[:, None] * eval_jacobian(problem, v)
 
-    residual_batch = vjp_batch = None
-    if problem.residual_batch is not None:
-        def residual_batch(V: np.ndarray) -> np.ndarray:
-            return np.asarray(transform.forward(problem.residual_batch(V)), dtype=float)
-
+    vjp_batch = None
+    if problem.vjp_batch is not None:
         def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
-            scale_rows = np.asarray(transform.derivative(problem.residual_batch(V)), dtype=float)
+            scale_rows = np.asarray(transform.derivative(problem.residual(V)), dtype=float)
             return problem.vjp_batch(V, scale_rows * Y)
 
     return ResidualProblem(
@@ -178,7 +175,6 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
         residual=residual,
         jacobian=jacobian,
         weights=problem.weights,
-        residual_batch=residual_batch,
         vjp_batch=vjp_batch,
     )
 
@@ -207,9 +203,7 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
 
     G(v) = F(B^-1(v)), evaluated literally as that composition so that
     F(pull_back_zero(B, v*)) and G(v*) are the same computation, value for
-    value.  When F is the quadratic family and B is a pure scaling, G is the
-    quadratic with coefficient lambda/mu^2 and is tagged as such, keeping the
-    closed-form certificate available.
+    value.  G carries no family parameters, whatever F and B are.
     """
 
     def residual(v: np.ndarray) -> np.ndarray:
@@ -220,31 +214,19 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
         inv_deriv = 1.0 / np.asarray(transform.derivative(w), dtype=float)
         return eval_jacobian(problem_f, w) * inv_deriv[None, :]
 
-    residual_batch = vjp_batch = None
-    if problem_f.residual_batch is not None:
-        def residual_batch(V: np.ndarray) -> np.ndarray:
-            return problem_f.residual_batch(np.asarray(transform.inverse(V), dtype=float))
-
+    vjp_batch = None
+    if problem_f.vjp_batch is not None:
         def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
             W = np.asarray(transform.inverse(V), dtype=float)
             return problem_f.vjp_batch(W, Y) / np.asarray(transform.derivative(W), dtype=float)
 
-    if problem_f.is_quadratic and transform.family == "scale":
-        mu = transform.params["mu"]
-        name = "quadratic"
-        params = {"lambda": problem_f.params["lambda"] / mu**2}
-    else:
-        name = f"{problem_f.name}o{transform.family}^-1"
-        params = {}
     return ResidualProblem(
-        name=name,
+        name=f"{problem_f.name}o{transform.family}^-1",
         n=problem_f.n,
         m=problem_f.m,
         residual=residual,
         jacobian=jacobian,
         weights=problem_f.weights,
-        params=params,
-        residual_batch=residual_batch,
         vjp_batch=vjp_batch,
     )
 
@@ -378,10 +360,6 @@ def build_mu_grid(
         branches.append((lo, -eps))
     if hi >= eps:
         branches.append((eps, hi))
-    if not branches:
-        raise InvalidConfigurationError(
-            f"mu range ({lo}, {hi}) lies entirely in the excluded zone around 0"
-        )
     widths = np.array([b[1] - b[0] for b in branches])
     counts = np.maximum(1, np.round(grid_size * widths / widths.sum()).astype(int))
     while counts.sum() > grid_size and counts.max() > 1:

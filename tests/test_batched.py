@@ -14,7 +14,6 @@ import pytest
 from zerocert import (
     Ball,
     InputShapeError,
-    InvalidConfigurationError,
     ResidualProblem,
     SamplingConfig,
     apply_dependent,
@@ -36,7 +35,7 @@ SIN_CENTER = {n: np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in (4, 10)}
 
 
 def per_point(problem):
-    return dataclasses.replace(problem, residual_batch=None, vjp_batch=None)
+    return dataclasses.replace(problem, vjp_batch=None)
 
 
 HOOKED = {
@@ -63,7 +62,7 @@ def test_batched_hooks_match_per_point_evaluation(name):
     rng = np.random.default_rng(7)
     V = rng.normal(scale=2.0, size=(9, p.n))
     Y = rng.normal(size=(9, p.m))
-    R = p.residual_batch(V)
+    R = p.residual(V)
     G = p.vjp_batch(V, Y)
     assert R.shape == (9, p.m) and G.shape == (9, p.n)
     for v, y, r, g in zip(V, Y, R, G):
@@ -84,22 +83,14 @@ def test_problems_without_hooks_keep_none_through_transforms():
         apply_dependent(cubic_perturbation(1.0), plain),
         recover_problem_dependent(linear_scale(2.0), plain),
     ):
-        assert p.residual_batch is None and p.vjp_batch is None
-
-
-def test_hooks_must_come_in_pairs():
-    q = make_quadratic(1.0)
-    with pytest.raises(InvalidConfigurationError):
-        dataclasses.replace(q, vjp_batch=None)
-    with pytest.raises(InvalidConfigurationError):
-        dataclasses.replace(per_point(q), residual_batch=q.residual_batch)
+        assert p.vjp_batch is None
 
 
 def test_batched_output_shapes_are_checked():
     q = make_quadratic(1.0)
     ball = Ball(np.array([2.0]), 0.5)
-    wrong_residual = dataclasses.replace(q, residual_batch=lambda V: V[:, 0])
-    with pytest.raises(InputShapeError, match="residual_batch"):
+    wrong_residual = dataclasses.replace(q, residual=lambda V: V[..., 0])
+    with pytest.raises(InputShapeError, match=r"residual of 'quadratic' returned shape \(11,\)"):
         domination_constant_sampled(wrong_residual, ball, samples_per_axis=11)
     wrong_vjp = dataclasses.replace(q, vjp_batch=lambda V, Y: Y[:-1])
     with pytest.raises(InputShapeError, match="vjp_batch"):

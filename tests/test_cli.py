@@ -433,3 +433,95 @@ def test_solve_stalls_where_phi_overflows(tmp_path, capsys):
     assert out.startswith("stalled iterations=0 residual=2.1295999999999997e+154 ")
     assert out.rstrip().endswith(" FAIL")
     assert report["descent"]["status"] == "stalled" and report["verified"] is False
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["no-trace", "trace-csv"])
+def test_solve_never_accepts_a_step_where_phi_is_infinite(tmp_path, capsys, trace):
+    # phi is inf at and around this centre: the line search read inf <= inf
+    # and ran to max_iterations on null steps; with a trace CSV the inf
+    # reached the report and the run exited 3
+    cfg = {"problem": {"name": "quadratic", "lambda": 1e-240},
+           "ball": {"center": [1e200], "radius": 0.5},
+           "descent": {"max_iterations": 5}}
+    extra = ("--trace-csv", str(tmp_path / "trace.csv")) if trace else ()
+    with np.errstate(all="ignore"):
+        rc, report = run(tmp_path, "solve", cfg, extra=extra)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == ("stalled iterations=0 residual=9.9999999999999985e+159 "
+                   "u=[9.9999999999999997e+199] FAIL\n")
+    assert report["descent"]["status"] == "stalled" and report["verified"] is False
+
+
+@pytest.mark.parametrize("problem, key", [
+    ({"name": "quadratic", "lambda": 1.0, "grid_points": 4}, "grid_points"),
+    ({"name": "quadratic", "lambda": 1.0, "gamma": 3.0}, "gamma"),
+    ({"name": "quadratic", "lambda": 1.0, "forcing": "zero"}, "forcing"),
+    ({"name": "quadratic", "lambda": 1.0, "quadrature_weights": True}, "quadrature_weights"),
+    ({"name": "bvp", "grid_points": 1, "lambda": 1.0}, "lambda"),
+], ids=["quadratic-grid_points", "quadratic-gamma", "quadratic-forcing",
+        "quadratic-quadrature_weights", "bvp-lambda"])
+def test_problem_keys_of_the_other_family_are_config_errors(tmp_path, capsys, problem, key):
+    # a key of the other family used to be dropped silently
+    cfg = {"problem": problem, "ball": {"center": [2.0], "radius": 0.5}}
+    rc, report = run(tmp_path, "certify", cfg)
+    out, err = capsys.readouterr()
+    assert rc == 2 and report is None and out == ""
+    assert err == f"config error: problem.{key}: unknown key for problem {problem['name']!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--config", "c.json", "--sweep-csv", "s.csv"],
+    ["certify", "--config", "c.json", "--trace-csv", "t.csv"],
+    ["search", "--config", "c.json", "--trace-csv", "t.csv"],
+    ["selftest", "--report", "r.json"],
+    ["selftest", "--sweep-csv", "s.csv"],
+    ["selftest", "--trace-csv", "t.csv"],
+], ids=["certify-sweep", "certify-trace", "search-trace", "selftest-report",
+        "selftest-sweep", "selftest-trace"])
+def test_commands_reject_flags_they_do_not_read(capsys, argv):
+    # each of these flags used to be accepted and ignored
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_sampled_search_survives_a_huge_mu(tmp_path, capsys):
+    # the recovered problem was renamed the quadratic with lambda / mu**2,
+    # computed in Python floats: OverflowError traceback past |mu| ~ 1.34e154
+    cfg = {"problem": {"name": "quadratic", "lambda": 1.0},
+           "ball": {"center": [2.0], "radius": 0.5},
+           "transform": {"family": "scale", "mu_min": 0.5, "mu_max": 1e155, "grid_size": 5}}
+    rc, report = run(tmp_path, "search", cfg)
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.startswith("FAIL best mu=")
+    assert report["transform_search"]["sweep"][-1]["mu"] == 1e155
+    assert report["transform_search"]["any_passed"] is False
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": [2.0], "radius": "0.5"}}),
+     "ball.radius: expected a number, got str"),
+    ("certify", json.dumps({**QUAD_FAIL, "certificate": {"samples_per_axis": True}}),
+     "certificate.samples_per_axis: expected an int, got a bool"),
+    ("certify", "[1, 2]", "config root must be a JSON object"),
+    ("certify", None, "cannot read config file "),
+    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": ["2"], "radius": 0.5}}),
+     "ball.center: entries must be numbers"),
+    ("search", json.dumps({**QUAD_FAIL, "transform": {"family": "affine", "mu_min": 0.5,
+                                                       "mu_max": 3.0}}),
+     "transform.family: only 'scale' is searchable, got 'affine'"),
+], ids=["string-for-number", "bool-for-int", "non-object-root", "unreadable-path",
+        "non-number-center", "search-family-affine"])
+def test_config_errors_say_what_is_wrong(tmp_path, capsys, command, text, message):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    rc = cli.main([command, "--config", str(path), "--report", str(tmp_path / "r.json")])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == ""
+    assert err.startswith(f"config error: {message}")
+    assert not (tmp_path / "r.json").exists()

@@ -4,7 +4,6 @@ import pytest
 from zerocert import (
     InputShapeError,
     InvalidConfigurationError,
-    QuadraticParams,
     ResidualProblem,
     bvp_forcing,
     eval_jacobian,
@@ -26,7 +25,7 @@ def test_quadratic_residual_values():
 
 
 def test_quadratic_accepts_params_object():
-    p = make_quadratic(QuadraticParams(lam=4.0))
+    p = make_quadratic(4.0)
     assert eval_residual(p, [0.5]) == pytest.approx([0.0], abs=1e-15)
     assert p.params["lambda"] == 4.0
 

@@ -125,7 +125,6 @@ def test_recover_problem_independent_values():
     g = recover_problem_independent(scale(2.0), q)
     assert eval_residual(g, [2.0]) == pytest.approx([0.0], abs=0.0)
     assert eval_residual(g, [1.0]) == pytest.approx([-0.75])
-    assert g.is_quadratic and g.params["lambda"] == pytest.approx(0.25)
 
 
 def test_recover_problem_independent_identity():
