@@ -30,7 +30,7 @@ from .problems import ResidualProblem, checked_output
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
 
-SAMPLE_CAP = 10**6  # hard cap on sampled points in dimension >= 2
+SAMPLE_CAP = 10**6  # hard cap on sampled points in every dimension
 SCREEN_CHUNK = 4096  # rows per batched evaluation: bounds the screen's temporaries
 
 # Relative margin of the batched screen.  Batched norms and ratios are summed
@@ -212,7 +212,7 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -
 
 def _sample_count(n: int, samples_per_axis: int) -> int:
     """How many points :func:`_sample_points` draws in dimension ``n``."""
-    return samples_per_axis if n == 1 else min(samples_per_axis**n, SAMPLE_CAP)
+    return min(samples_per_axis**n, SAMPLE_CAP)
 
 
 def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, seed: int) -> np.ndarray:
@@ -265,9 +265,9 @@ def domination_constant_sampled(
     """Estimate the domination constant as a sampled infimum over the ball.
 
     Returns safety * min ||grad phi(v)|| / ||F(v)|| over sampled points with
-    ||F(v)|| above the floor.  In dimension 1 the samples are a uniform grid
-    including both endpoints; in higher dimensions a deterministic
-    low-discrepancy sequence in the ball, capped at 10^6 points.  Returns 0
+    ||F(v)|| above the floor, at most 10^6 of them.  In dimension 1 the
+    samples are a uniform grid including both endpoints; in higher
+    dimensions a deterministic low-discrepancy sequence in the ball.  Returns 0
     when every sampled point sits at the floor (the infimum is undetermined)
     or when any sampled residual norm or ratio is NaN or infinite; both
     yield a conservative certificate.

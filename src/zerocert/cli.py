@@ -2,12 +2,17 @@
 
 One run is driven by one JSON config file and produces one JSON report (plus
 optional CSV artifacts); certify, search and solve share one pipeline,
-:func:`run_command`.  Value ranges are checked by the constructors the values
-go to (``make_bvp``, ``Ball``, ``SamplingConfig``, ``build_mu_grid``, ...).
+:func:`run_command`.  One config serves every command: every key's kind is
+checked in every section present, so an ``output.sweep_csv`` or
+``output.trace_csv`` that a command does not write is checked and otherwise
+unused, like a ``transform`` block under certify.  Value ranges are checked
+by the constructors of the sections a command reads (``make_bvp``, ``Ball``,
+``SamplingConfig``, ``build_mu_grid``, ...).
 Exit codes: 0 = ran to completion (verdicts may still be FAIL), 1 = selftest
 failure, 2 = config error (including out-of-range values, any NaN or
 infinite number, any key the schema below does not list and a problem key
-of the other family; caught before any stage runs), 3 = runtime error.
+of the other family; caught before any stage runs), 3 = runtime error
+(including running out of memory).
 
 Config file schema (defaults in parentheses):
 
@@ -102,35 +107,32 @@ def _dotted(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _check_keys(cfg: dict) -> None:
-    """Raise ConfigError naming the first key, top-level or in a section, that no schema lists."""
+def _check(cfg: dict) -> None:
+    """Raise ConfigError at the first key, top-level or in a section, that the schema does not
+    list, that the problem's family does not read, or whose value has the wrong kind."""
     sections = [("", cfg)] + [(name, cfg[name]) for name in _SCHEMA[""]
                               if isinstance(cfg.get(name), dict)]
     for path, section in sections:
-        for key in section:
+        name = section.get("name") if path == "problem" else None
+        family = _FAMILIES.get(name) if isinstance(name, str) else None
+        for key, value in section.items():
+            dotted = _dotted(path, key)
             if key not in _SCHEMA[path]:
-                raise ConfigError(f"{_dotted(path, key)}: unknown key")
+                raise ConfigError(f"{dotted}: unknown key")
+            if family is not None and key not in family:
+                raise ConfigError(f"{dotted}: unknown key for problem {name!r}")
+            kind = _SCHEMA[path][key]
+            expected = f"expected {'an' if kind == 'int' else 'a'} {kind}"
+            if kind in ("number", "int") and isinstance(value, bool):
+                raise ConfigError(f"{dotted}: {expected}, got a bool")
+            if not isinstance(value, _KINDS[kind]):
+                raise ConfigError(f"{dotted}: {expected}, got {type(value).__name__}")
 
 
-def _get(section: dict, key: str, path: str, required: bool = True, default=None):
-    dotted = _dotted(path, key)
+def _required(section: dict, key: str, path: str):
     if key not in section:
-        if required:
-            raise ConfigError(f"{dotted}: missing required key")
-        return default
-    value = section[key]
-    kind = _SCHEMA[path][key]
-    expected = f"expected {'an' if kind == 'int' else 'a'} {kind}"
-    if kind in ("number", "int") and isinstance(value, bool):
-        raise ConfigError(f"{dotted}: {expected}, got a bool")
-    if not isinstance(value, _KINDS[kind]):
-        raise ConfigError(f"{dotted}: {expected}, got {type(value).__name__}")
-    return value
-
-
-def _present(section: dict, path: str) -> dict:
-    """The keys of section ``path`` that ``section`` sets, type-checked; the rest keep their defaults."""
-    return {key: _get(section, key, path) for key in _SCHEMA[path] if key in section}
+        raise ConfigError(f"{_dotted(path, key)}: missing required key")
+    return section[key]
 
 
 def _finite_number(token: str, convert=float):
@@ -166,29 +168,25 @@ def _section(name: str):
 
 
 def build_problem(cfg: dict) -> ResidualProblem:
-    pcfg = _get(cfg, "problem", "")
-    name = _get(pcfg, "name", "problem")
+    pcfg = _required(cfg, "problem", "")
+    name = _required(pcfg, "name", "problem")
     if name not in _FAMILIES:
         raise ConfigError(f"problem.name: unknown problem {name!r}")
-    for key in pcfg:
-        if key not in _FAMILIES[name]:
-            raise ConfigError(f"problem.{key}: unknown key for problem {name!r}")
     with _section("problem"):
         if name == "quadratic":
-            return make_quadratic(float(_get(pcfg, "lambda", "problem")))
+            return make_quadratic(float(_required(pcfg, "lambda", "problem")))
         return make_bvp(
-            _get(pcfg, "grid_points", "problem"),
-            float(_get(pcfg, "gamma", "problem", required=False, default=0.0)),
-            _get(pcfg, "forcing", "problem", required=False, default="zero"),
-            quadrature_weights=_get(pcfg, "quadrature_weights", "problem",
-                                    required=False, default=False),
+            _required(pcfg, "grid_points", "problem"),
+            float(pcfg.get("gamma", 0.0)),
+            pcfg.get("forcing", "zero"),
+            quadrature_weights=pcfg.get("quadrature_weights", False),
         )
 
 
 def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
-    bcfg = _get(cfg, "ball", "")
-    center = _get(bcfg, "center", "ball")
-    radius = _get(bcfg, "radius", "ball")
+    bcfg = _required(cfg, "ball", "")
+    center = _required(bcfg, "center", "ball")
+    radius = _required(bcfg, "radius", "ball")
     if not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in center):
         raise ConfigError("ball.center: entries must be numbers")
     if len(center) != problem.n:
@@ -201,8 +199,7 @@ def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
 
 
 def build_certificate_settings(cfg: dict, problem: ResidualProblem, seed: int):
-    ccfg = _get(cfg, "certificate", "", required=False, default={})
-    settings = _present(ccfg, "certificate")
+    settings = dict(cfg.get("certificate", {}))
     method = settings.pop("method", METHOD_SAMPLED)
     with _section("certificate"):
         check_method(problem, method)
@@ -211,17 +208,17 @@ def build_certificate_settings(cfg: dict, problem: ResidualProblem, seed: int):
 
 
 def build_transform_settings(cfg: dict, required: bool):
-    tcfg = _get(cfg, "transform", "", required=required, default=None)
-    if tcfg is None:
+    if "transform" not in cfg and not required:
         return None
-    family = _get(tcfg, "family", "transform", required=False, default="scale")
+    tcfg = _required(cfg, "transform", "")
+    family = tcfg.get("family", "scale")
     if family != "scale":
         raise ConfigError(f"transform.family: only 'scale' is searchable, got {family!r}")
     settings = {
-        "mu_range": (float(_get(tcfg, "mu_min", "transform")),
-                     float(_get(tcfg, "mu_max", "transform"))),
-        "grid_size": _get(tcfg, "grid_size", "transform", required=False, default=51),
-        "spacing": _get(tcfg, "spacing", "transform", required=False, default="linear"),
+        "mu_range": (float(_required(tcfg, "mu_min", "transform")),
+                     float(_required(tcfg, "mu_max", "transform"))),
+        "grid_size": tcfg.get("grid_size", 51),
+        "spacing": tcfg.get("spacing", "linear"),
     }
     with _section("transform"):
         build_mu_grid(**settings)
@@ -229,23 +226,8 @@ def build_transform_settings(cfg: dict, required: bool):
 
 
 def build_descent_config(cfg: dict) -> DescentConfig:
-    dcfg = _get(cfg, "descent", "", required=False, default={})
     with _section("descent"):
-        return DescentConfig(**_present(dcfg, "descent"))
-
-
-def _resolve_seed(cfg: dict, args) -> int:
-    if args.seed is not None:
-        return args.seed
-    seed = _get(cfg, "seed", "", required=False, default=42)
-    return int(seed)
-
-
-def _output_path(cfg: dict, key: str, flag_value, default=None):
-    if flag_value:
-        return flag_value
-    ocfg = _get(cfg, "output", "", required=False, default={})
-    return _get(ocfg, key, "output", required=False, default=default)
+        return DescentConfig(**cfg.get("descent", {}))
 
 
 def _problem_summary(problem: ResidualProblem) -> dict:
@@ -275,16 +257,19 @@ def _print_point(label: str, u: np.ndarray) -> str:
     return f"{label}=<{len(u)}-dim vector, norm={_fmt(float(np.linalg.norm(u)))}>"
 
 
-def run_command(command: str, cfg: dict, args) -> dict:
-    """Run the stages of the pipeline that ``command`` asks for; return the report.
+def run_command(command: str, cfg: dict, args) -> None:
+    """Run the stages of the pipeline that ``command`` asks for; write the report.
 
-    Every setting is validated before any stage runs.  The stages, in order:
-    the certificate (certify; solve with a ``certificate`` block), the mu
-    search (search; solve with a ``transform`` block) and descent (solve),
-    on the problem the search relaxed when it found a passing mu.
+    Every setting is validated, and every output path chosen, before any
+    stage runs.  The stages, in order: the certificate (certify; solve with a
+    ``certificate`` block), the mu search (search; solve with a ``transform``
+    block) and descent (solve), on the problem the search relaxed when it
+    found a passing mu.
     """
-    _check_keys(cfg)
-    seed = _resolve_seed(cfg, args)
+    _check(cfg)
+    seed = cfg.get("seed", 42) if args.seed is None else args.seed
+    output = {"report": f"{command}_report.json", **cfg.get("output", {})}
+    paths = {key: getattr(args, key, None) or output.get(key) for key in _SCHEMA["output"]}
     problem = build_problem(cfg)
     ball = build_ball(cfg, problem)
     method, sampling = build_certificate_settings(cfg, problem, seed)
@@ -316,20 +301,18 @@ def run_command(command: str, cfg: dict, args) -> dict:
             print(f"note: excluded mu in (-{_fmt(found.zero_exclusion)}, {_fmt(found.zero_exclusion)})")
         word = "PASS" if found.any_passed else "FAIL"
         print(f"{word} best mu={_fmt(found.best_parameter)} slack={_fmt(found.certificate.slack)}")
-        sweep_csv = _output_path(cfg, "sweep_csv", args.sweep_csv)
-        if sweep_csv:
-            report_io.write_sweep_csv(sweep_csv, found.sweep)
+        if paths["sweep_csv"]:
+            report_io.write_sweep_csv(paths["sweep_csv"], found.sweep)
         report["transform_search"] = found
 
     if solving:
         transform = scale(found.best_parameter) if found is not None and found.any_passed else None
         target = recover_problem_independent(transform, problem) if transform else problem
-        trace_csv = _output_path(cfg, "trace_csv", args.trace_csv)
         t0 = time.perf_counter()
-        result = solve(target, ball, descent_cfg, record_trace=bool(trace_csv))
+        result = solve(target, ball, descent_cfg, record_trace=bool(paths["trace_csv"]))
         timings["descent_s"] = time.perf_counter() - t0
-        if trace_csv:
-            report_io.write_trace_csv(trace_csv, result.trace or ())
+        if paths["trace_csv"]:
+            report_io.write_trace_csv(paths["trace_csv"], result.trace or ())
         u = pull_back_zero(transform, result.u) if transform else result.u
         verified = verify_solution(target, result.u, ball, descent_cfg.residual_tolerance)
         final_residual = residual_norm(problem, u)
@@ -340,7 +323,7 @@ def run_command(command: str, cfg: dict, args) -> dict:
         descent.update(u_pulled_back=u, original_residual_norm=final_residual)
         report.update(descent=descent, verified=verified)
     report["timings"] = timings
-    return report
+    report_io.write_json(paths["report"], report)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -373,15 +356,11 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             with _section("selftest"):
                 return run_selftest(args.seed if args.seed is not None else 42)
-        cfg = load_config(args.config)
-        report = run_command(args.command, cfg, args)
-        report_path = _output_path(cfg, "report", args.report,
-                                   default=f"{args.command}_report.json")
-        report_io.write_json(report_path, report)
+        run_command(args.command, load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (ZerocertError, ValueError, OSError, np.linalg.LinAlgError) as exc:
+    except (ZerocertError, ValueError, OSError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME_ERROR
     return EXIT_OK

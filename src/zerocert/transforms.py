@@ -354,7 +354,10 @@ def build_mu_grid(
 
     eps = ZERO_EXCLUSION_FRACTION * max(abs(lo), abs(hi))
     if eps == 0.0:
-        raise InvalidConfigurationError("mu range contains only 0")
+        raise InvalidConfigurationError(
+            "mu range contains only 0" if lo == hi
+            else f"mu range [{lo}, {hi}] lies too close to 0 to leave out a hole around it"
+        )
     branches = []
     if lo <= -eps:
         branches.append((lo, -eps))

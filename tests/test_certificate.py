@@ -195,6 +195,13 @@ def test_sampled_certificate_is_advisory_and_serializes():
     assert d["sample_count"] == 101
 
 
+def test_sample_count_is_capped_in_dimension_one():
+    # dimension 1 skipped the cap: 10^13 samples per axis died in np.linspace
+    cert = certify(make_quadratic(1.0), Ball(np.array([2.0]), 0.5), "sampled",
+                   SamplingConfig(samples_per_axis=10**7))
+    assert cert.sample_count == 10**6
+
+
 def test_certificate_with_quadrature_weights_is_self_consistent():
     p = make_bvp(6, 1.0, "manufactured_sin", quadrature_weights=True)
     ball = Ball(0.1 * np.ones(6), 0.5)

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +526,47 @@ def test_config_errors_say_what_is_wrong(tmp_path, capsys, command, text, messag
     assert rc == 2 and out == ""
     assert err.startswith(f"config error: {message}")
     assert not (tmp_path / "r.json").exists()
+
+
+README = json.loads((Path(__file__).resolve().parent / "golden" / "readme.json").read_text())
+
+
+@pytest.mark.parametrize("command, edit, extra, message", [
+    ("solve", {"output": {"report": 5}}, (), "output.report: expected a string, got int"),
+    ("search", {"output": {"sweep_csv": 7}}, (), "output.sweep_csv: expected a string, got int"),
+    ("certify", {"descent": {"max_iterations": "5"}}, (),
+     "descent.max_iterations: expected an int, got str"),
+    ("certify", {"seed": "x"}, ("--seed", "3"), "seed: expected an int, got str"),
+], ids=["solve-output-report", "search-output-sweep_csv", "certify-descent-unread",
+        "seed-under-flag"])
+def test_every_kind_is_checked_before_any_stage(tmp_path, capsys, command, edit, extra, message):
+    # each used to be read only by the stage that needed it, after the stages
+    # before it had printed their verdicts, or never
+    rc, report = run(tmp_path, command, {**README, **edit}, extra)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and report is None
+    assert err == f"config error: {message}\n"
+
+
+def test_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    # a huge grid_size or grid_points died in numpy with a traceback and exit 1
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+    monkeypatch.setattr(cli, "search_mu", allocate)
+    rc, report = run(tmp_path, "search", README)
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == "" and report is None
+    assert err == "error: Unable to allocate 72.8 TiB for an array\n"
+
+
+@pytest.mark.parametrize("mu_min, message", [
+    (0.0, "mu range contains only 0"),
+    (-5e-324, "mu range [-5e-324, 0.0] lies too close to 0 to leave out a hole around it"),
+], ids=["only-zero", "subnormal"])
+def test_mu_range_hugging_zero_is_a_config_error(tmp_path, capsys, mu_min, message):
+    cfg = {**README, "transform": {"mu_min": mu_min, "mu_max": 0.0, "grid_size": 3}}
+    rc, report = run(tmp_path, "search", cfg)
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and report is None
+    assert err == f"config error: transform: {message}\n"
