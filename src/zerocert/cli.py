@@ -2,12 +2,12 @@
 
 One run is driven by one JSON config file and produces one JSON report (plus
 optional CSV artifacts); certify, search and solve share one pipeline,
-:func:`run_command`.  One config serves every command: every key's kind is
-checked in every section present, so an ``output.sweep_csv`` or
-``output.trace_csv`` that a command does not write is checked and otherwise
-unused, like a ``transform`` block under certify.  Value ranges are checked
-by the constructors of the sections a command reads (``make_bvp``, ``Ball``,
-``SamplingConfig``, ``build_mu_grid``, ...).
+:func:`run_command`.  A config means the same under every command: every
+section present is checked, kinds and value ranges alike (the latter by the
+constructors ``make_bvp``, ``Ball``, ``SamplingConfig``, ``build_mu_grid``,
+``DescentConfig``, ...), whether or not the command reads it, so an
+``output.sweep_csv`` under certify or a ``descent`` block under search is
+checked and otherwise unused.  The command only chooses which stages run.
 Exit codes: 0 = ran to completion (verdicts may still be FAIL), 1 = selftest
 failure, 2 = config error (including out-of-range values, any NaN or
 infinite number, any key the schema below does not list and a problem key
@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_io
-from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method
+from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method, check_seed
 from .descent import DescentConfig, solve, verify_solution
 from .exceptions import ConfigError, InvalidConfigurationError, InvalidMethodError, ZerocertError
 from .functional import check_gradient, residual_norm
@@ -109,7 +109,8 @@ def _dotted(path: str, key: str) -> str:
 
 def _check(cfg: dict) -> None:
     """Raise ConfigError at the first key, top-level or in a section, that the schema does not
-    list, that the problem's family does not read, or whose value has the wrong kind."""
+    list, that the problem's family does not read, whose value has the wrong kind, or that
+    sets an empty output path."""
     sections = [("", cfg)] + [(name, cfg[name]) for name in _SCHEMA[""]
                               if isinstance(cfg.get(name), dict)]
     for path, section in sections:
@@ -127,6 +128,8 @@ def _check(cfg: dict) -> None:
                 raise ConfigError(f"{dotted}: {expected}, got a bool")
             if not isinstance(value, _KINDS[kind]):
                 raise ConfigError(f"{dotted}: {expected}, got {type(value).__name__}")
+            if path == "output" and value == "":
+                raise ConfigError(f"{dotted}: empty path")
 
 
 def _required(section: dict, key: str, path: str):
@@ -260,22 +263,30 @@ def _print_point(label: str, u: np.ndarray) -> str:
 def run_command(command: str, cfg: dict, args) -> None:
     """Run the stages of the pipeline that ``command`` asks for; write the report.
 
-    Every setting is validated, and every output path chosen, before any
-    stage runs.  The stages, in order: the certificate (certify; solve with a
+    Every section present is built, and so validated, and every output path
+    and the seed are chosen, before any stage runs, whatever the command.
+    The stages, in order: the certificate (certify; solve with a
     ``certificate`` block), the mu search (search; solve with a ``transform``
     block) and descent (solve), on the problem the search relaxed when it
     found a passing mu.
     """
     _check(cfg)
     seed = cfg.get("seed", 42) if args.seed is None else args.seed
+    with _section("seed" if args.seed is None else "--seed"):
+        check_seed(seed)
     output = {"report": f"{command}_report.json", **cfg.get("output", {})}
-    paths = {key: getattr(args, key, None) or output.get(key) for key in _SCHEMA["output"]}
+    paths = {}
+    for key in _SCHEMA["output"]:
+        flag = getattr(args, key, None)
+        if flag == "":
+            raise ConfigError(f"--{key.replace('_', '-')}: empty path")
+        paths[key] = output.get(key) if flag is None else flag
     problem = build_problem(cfg)
     ball = build_ball(cfg, problem)
     method, sampling = build_certificate_settings(cfg, problem, seed)
+    tset = build_transform_settings(cfg, required=command == "search")
+    descent_cfg = build_descent_config(cfg)
     solving = command == "solve"
-    tset = None if command == "certify" else build_transform_settings(cfg, required=not solving)
-    descent_cfg = build_descent_config(cfg) if solving else None
     report = {"command": command, "config": cfg, "seed": seed,
               "problem": _problem_summary(problem),
               "gradient_check": _gradient_check_summary(problem, ball)}
@@ -293,7 +304,7 @@ def run_command(command: str, cfg: dict, args) -> None:
         report["certificate"] = certificate
 
     found = None
-    if tset is not None:
+    if command != "certify" and tset is not None:
         t0 = time.perf_counter()
         found = search_mu(problem, ball, method=method, sampling=sampling, **tset)
         timings["search_s"] = time.perf_counter() - t0

@@ -9,13 +9,13 @@ analytic gradient against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .certificate import Ball, check_seed, domination_constant_sampled, quadratic_domination_constant
 from .functional import check_gradient
-from .problems import make_bvp, make_quadratic
+from .problems import ResidualProblem, make_bvp, make_quadratic
 from .transforms import transformed_certificate_quadratic
 
 EQUIVALENCE_GRID = {
@@ -28,20 +28,24 @@ EQUIVALENCE_GRID = {
 
 @dataclass(frozen=True)
 class SuiteResult:
+    """Case counts of one suite; ``first_failure`` describes its first failing case."""
+
     name: str
     passed: int
     failed: int
+    first_failure: str | None = None
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
 
 
-def suite_closed_form_vs_sampled(seed: int = 42) -> SuiteResult:
-    """Sampled constant (safety 1, 1001 samples) within 1% of the closed form."""
+def suite_closed_form_vs_sampled(seed: int = 42, cases: int = 10) -> SuiteResult:
+    """Sampled constant (safety 1, 1001 samples) within 1% of the closed form, on ``cases`` balls."""
     rng = np.random.default_rng(seed)
     passed = failed = 0
-    while passed + failed < 10:
+    first_failure = None
+    while passed + failed < cases:
         lam = rng.uniform(0.25, 4.0)
         x = rng.uniform(-3.0, 3.0)
         r = rng.uniform(0.1, 1.0)
@@ -56,12 +60,14 @@ def suite_closed_form_vs_sampled(seed: int = 42) -> SuiteResult:
             passed += 1
         else:
             failed += 1
-    return SuiteResult("closed_form_vs_sampled", passed, failed)
+            first_failure = first_failure or f"lam={lam} x={x} r={r}: sampled {sampled} vs {exact}"
+    return SuiteResult("closed_form_vs_sampled", passed, failed, first_failure)
 
 
 def suite_equivalence_grid() -> SuiteResult:
     """Transformed-problem and original-scale certificate forms agree."""
     passed = failed = 0
+    first_failure = None
     for lam in EQUIVALENCE_GRID["lam"]:
         for mu in EQUIVALENCE_GRID["mu"]:
             for x in EQUIVALENCE_GRID["x"]:
@@ -72,27 +78,33 @@ def suite_equivalence_grid() -> SuiteResult:
                         passed += 1
                     else:
                         failed += 1
-    return SuiteResult("equivalence_grid", passed, failed)
+                        first_failure = first_failure or f"lam={lam} mu={mu} x={x} r={r}"
+    return SuiteResult("equivalence_grid", passed, failed, first_failure)
 
 
-def suite_gradient_checks(seed: int = 42) -> SuiteResult:
-    """Analytic gradient vs finite differences on the built-in problems."""
+def suite_gradient_checks(
+    seed: int = 42, problems: Sequence[ResidualProblem] | None = None, points: int = 20,
+) -> SuiteResult:
+    """Analytic gradient vs finite differences at ``points`` random points per problem."""
     rng = np.random.default_rng(seed)
-    problems = [
-        make_quadratic(1.0),
-        make_quadratic(2.0),
-        make_bvp(16, 0.0, "sin_pi"),
-        make_bvp(16, 1.0, "manufactured_sin"),
-    ]
+    if problems is None:
+        problems = [
+            make_quadratic(1.0),
+            make_quadratic(2.0),
+            make_bvp(16, 0.0, "sin_pi"),
+            make_bvp(16, 1.0, "manufactured_sin"),
+        ]
     passed = failed = 0
+    first_failure = None
     for problem in problems:
-        for _ in range(20):
+        for point in range(points):
             v = rng.uniform(-2.0, 2.0, size=problem.n)
             if check_gradient(problem, v).max_relative_error <= 1e-6:
                 passed += 1
             else:
                 failed += 1
-    return SuiteResult("gradient_checks", passed, failed)
+                first_failure = first_failure or f"{problem.name} {problem.params} point {point}"
+    return SuiteResult("gradient_checks", passed, failed, first_failure)
 
 
 def run_selftest(seed: int = 42, out: Callable[[str], None] = print) -> int:

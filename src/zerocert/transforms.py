@@ -336,8 +336,9 @@ def build_mu_grid(
 
     Ranges touching or straddling 0 are shrunk away from it by a relative
     margin (returned as the second element so callers can report the
-    exclusion); ranges on one side of 0 are used as given.  Spacing is
-    "linear" or "geometric" per branch.
+    exclusion); ranges on one side of 0 are used as given.  The grid has
+    exactly ``grid_size`` values, split between the branches either side of
+    0 by width.  Spacing is "linear" or "geometric" per branch.
     """
     lo, hi = float(mu_range[0]), float(mu_range[1])
     if not lo <= hi:
@@ -363,10 +364,17 @@ def build_mu_grid(
         branches.append((lo, -eps))
     if hi >= eps:
         branches.append((eps, hi))
-    widths = np.array([b[1] - b[0] for b in branches])
-    counts = np.maximum(1, np.round(grid_size * widths / widths.sum()).astype(int))
-    while counts.sum() > grid_size and counts.max() > 1:
-        counts[counts.argmax()] -= 1
+    counts = [grid_size]
+    if len(branches) == 2:
+        # the narrower branch (the negative one on a tie) gets its rounded share, at least
+        # 1 unless grid_size is 1, and the wider one the rest; the ratio of the widths
+        # cannot overflow where their sum can
+        widths = [b_hi - b_lo for b_lo, b_hi in branches]
+        narrow = int(widths[1] < widths[0])
+        ratio = widths[narrow] / widths[1 - narrow]
+        share = min(max(1, round(grid_size * ratio / (1.0 + ratio))), grid_size - 1)
+        counts = [grid_size - share] * 2
+        counts[narrow] = share
     grid = np.concatenate([
         _branch_grid(b_lo, b_hi, cnt, spacing) for (b_lo, b_hi), cnt in zip(branches, counts)
     ])

@@ -12,9 +12,7 @@ from zerocert import (
     DescentConfig,
     apply_dependent,
     certify,
-    check_gradient,
     cubic_perturbation,
-    domination_constant_sampled,
     eval_residual,
     linear_scale,
     make_bvp,
@@ -26,11 +24,12 @@ from zerocert import (
     solve,
     transformed_certificate_quadratic,
 )
-
-LAM_GRID = (0.5, 1.0, 2.0)
-X_GRID = (-3.0, -1.0, 0.4, 1.2, 2.0)
-R_GRID = (0.25, 0.5, 1.0)
-MU_GRID = (0.5, 1.0, 2.0, 3.0)
+from zerocert.selftest import (
+    EQUIVALENCE_GRID,
+    suite_closed_form_vs_sampled,
+    suite_equivalence_grid,
+    suite_gradient_checks,
+)
 
 
 @contextmanager
@@ -48,9 +47,9 @@ def criterion(num, name, budget_s):
 
 def test_criterion_1_closed_form_constant_vs_brute_force():
     with criterion(1, "closed-form constant vs brute-force minimization", 1.0):
-        for lam in LAM_GRID:
-            for x in X_GRID:
-                for r in R_GRID:
+        for lam in EQUIVALENCE_GRID["lam"]:
+            for x in EQUIVALENCE_GRID["x"]:
+                for r in EQUIVALENCE_GRID["r"]:
                     c = quadratic_domination_constant(lam, x, r)
                     v = np.linspace(x - r, x + r, 100_000)
                     brute = float(np.min(2.0 * abs(lam) * np.abs(v)))
@@ -63,17 +62,8 @@ def test_criterion_1_closed_form_constant_vs_brute_force():
 
 def test_criterion_2_transformed_certificate_equivalence():
     with criterion(2, "equivalence of transformed certificate forms", 1.0):
-        for lam in LAM_GRID:
-            for mu in MU_GRID:
-                for x in X_GRID:
-                    for r in R_GRID:
-                        lam_g = lam / mu**2
-                        via_transformed = (
-                            abs(lam_g * x * x - 1.0)
-                            <= r * quadratic_domination_constant(lam_g, x, r)
-                        )
-                        via_original = transformed_certificate_quadratic(lam, mu, x, r).passed
-                        assert via_transformed == via_original
+        result = suite_equivalence_grid()
+        assert result.ok and result.passed == 180, result
 
 
 def test_criterion_3_worked_latitude_example():
@@ -100,21 +90,8 @@ def test_criterion_3_worked_latitude_example():
 
 def test_criterion_4_sampled_constant_vs_closed_form():
     with criterion(4, "sampled constant within 1% of closed form", 5.0):
-        rng = np.random.default_rng(42)
-        checked = 0
-        while checked < 50:
-            lam = rng.uniform(0.25, 4.0)
-            x = rng.uniform(-3.0, 3.0)
-            r = rng.uniform(0.1, 1.0)
-            exact = quadratic_domination_constant(lam, x, r)
-            if exact <= 0.0:
-                continue
-            sampled = domination_constant_sampled(
-                make_quadratic(lam), Ball(np.array([x]), r),
-                samples_per_axis=1001, safety=1.0,
-            )
-            assert abs(sampled - exact) <= 0.01 * exact
-            checked += 1
+        result = suite_closed_form_vs_sampled(42, cases=50)
+        assert result.ok and result.passed == 50, result
 
 
 def test_criterion_5_gradient_correctness():
@@ -123,11 +100,8 @@ def test_criterion_5_gradient_correctness():
         for gamma, forcing in ((0.0, "sin_pi"), (1.0, "manufactured_sin")):
             for n in (16, 64):
                 problems.append(make_bvp(n, gamma, forcing))
-        rng = np.random.default_rng(42)
-        for problem in problems:
-            for _ in range(100):
-                v = rng.uniform(-2.0, 2.0, size=problem.n)
-                assert check_gradient(problem, v).max_relative_error <= 1e-6
+        result = suite_gradient_checks(42, problems=problems, points=100)
+        assert result.ok and result.passed == 600, result
 
 
 def test_criterion_6_certificate_soundness():

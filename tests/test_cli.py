@@ -1,6 +1,7 @@
 import csv
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,10 +111,12 @@ def test_out_of_range_values_are_config_errors_naming_section_and_key(
         "descent": {},
     }
     cfg[section][key] = bad
-    rc, report = run(tmp_path, "solve", cfg)
-    err = capsys.readouterr().err
-    assert rc == 2 and report is None
-    assert section in err and key in err
+    # certify and search used to ignore the descent block, certify the transform block
+    for command in ("certify", "search", "solve"):
+        rc, report = run(tmp_path, command, cfg)
+        out, err = capsys.readouterr()
+        assert rc == 2 and report is None and out == "", command
+        assert section in err and key in err, command
 
 
 @pytest.mark.parametrize("command, section, key", [
@@ -174,10 +177,12 @@ def test_seed_outside_uint32_range_is_a_config_error(tmp_path, capsys, seed):
         "ball": {"center": [0.5, 0.5, 0.5], "radius": 0.25},
         "certificate": {"method": "sampled", "samples_per_axis": 3},
     }
-    rc, report = run(tmp_path, "certify", cfg, extra=("--seed", seed))
-    out, err = capsys.readouterr()
-    assert rc == 2 and out == "" and report is None
-    assert "seed" in err
+    # a config seed was reported under the certificate section, which need not exist
+    for source, edit, extra in (("--seed", {}, ("--seed", seed)), ("seed", {"seed": int(seed)}, ())):
+        rc, report = run(tmp_path, "certify", {**cfg, **edit}, extra=extra)
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and report is None
+        assert err == f"config error: {source}: seed must lie in [0, 2**32), got {seed}\n"
 
 
 @pytest.mark.parametrize("seed", ["-1", "4294967296"])
@@ -384,7 +389,19 @@ def test_selftest_detects_corrupted_constant(capsys, monkeypatch):
     rc = cli.main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert "selftest: FAILED" in out
+    assert "selftest: FAILED" in out and "lam=" not in out
+    # each suite names its first failing case, which the acceptance gate prints
+    lam, x, r = np.random.default_rng(42).uniform([0.25, -3.0, 0.1], [4.0, 3.0, 1.0])
+    sampled = st.suite_closed_form_vs_sampled(42, cases=3)
+    assert (sampled.passed, sampled.failed) == (0, 3)
+    assert sampled.first_failure.startswith(f"lam={lam} x={x} r={r}: sampled ")
+    assert st.suite_equivalence_grid().first_failure == "lam=0.5 mu=0.5 x=-3.0 r=0.25"
+    monkeypatch.setattr(st, "check_gradient", lambda problem, v: SimpleNamespace(
+        max_relative_error=1.0 if problem.name == "bvp" else 0.0))
+    gradients = st.suite_gradient_checks(42, points=3)
+    assert (gradients.passed, gradients.failed) == (6, 6)
+    assert gradients.first_failure == (
+        "bvp {'grid_points': 16, 'gamma': 0.0, 'forcing': 'sin_pi'} point 0")
 
 
 def test_seed_flag_changes_sampling(tmp_path, capsys):
@@ -490,7 +507,7 @@ def test_commands_reject_flags_they_do_not_read(capsys, argv):
 
 
 def test_sampled_search_survives_a_huge_mu(tmp_path, capsys):
-    # the recovered problem was renamed the quadratic with lambda / mu**2,
+    # the recovered problem was renamed a quadratic with lambda rescaled by mu,
     # computed in Python floats: OverflowError traceback past |mu| ~ 1.34e154
     cfg = {"problem": {"name": "quadratic", "lambda": 1.0},
            "ball": {"center": [2.0], "radius": 0.5},
@@ -503,25 +520,34 @@ def test_sampled_search_survives_a_huge_mu(tmp_path, capsys):
     assert report["transform_search"]["any_passed"] is False
 
 
-@pytest.mark.parametrize("command, text, message", [
-    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": [2.0], "radius": "0.5"}}),
+@pytest.mark.parametrize("command, text, extra, message", [
+    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": [2.0], "radius": "0.5"}}), (),
      "ball.radius: expected a number, got str"),
-    ("certify", json.dumps({**QUAD_FAIL, "certificate": {"samples_per_axis": True}}),
+    ("certify", json.dumps({**QUAD_FAIL, "certificate": {"samples_per_axis": True}}), (),
      "certificate.samples_per_axis: expected an int, got a bool"),
-    ("certify", "[1, 2]", "config root must be a JSON object"),
-    ("certify", None, "cannot read config file "),
-    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": ["2"], "radius": 0.5}}),
+    ("certify", "[1, 2]", (), "config root must be a JSON object"),
+    ("certify", None, (), "cannot read config file "),
+    ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": ["2"], "radius": 0.5}}), (),
      "ball.center: entries must be numbers"),
     ("search", json.dumps({**QUAD_FAIL, "transform": {"family": "affine", "mu_min": 0.5,
-                                                       "mu_max": 3.0}}),
+                                                       "mu_max": 3.0}}), (),
      "transform.family: only 'scale' is searchable, got 'affine'"),
+    # an empty path ran every stage and then exited 3 with "Is a directory",
+    # or (from a flag) fell back to the config's path
+    ("solve", json.dumps({**QUAD_FAIL, "output": {"report": ""}}), (),
+     "output.report: empty path"),
+    ("certify", json.dumps({**QUAD_FAIL, "output": {"sweep_csv": ""}}), (),
+     "output.sweep_csv: empty path"),
+    ("certify", json.dumps(QUAD_FAIL), ("--report", ""), "--report: empty path"),
+    ("solve", json.dumps(QUAD_FAIL), ("--trace-csv", ""), "--trace-csv: empty path"),
 ], ids=["string-for-number", "bool-for-int", "non-object-root", "unreadable-path",
-        "non-number-center", "search-family-affine"])
-def test_config_errors_say_what_is_wrong(tmp_path, capsys, command, text, message):
+        "non-number-center", "search-family-affine", "empty-output-report",
+        "empty-output-sweep_csv-unread", "empty-report-flag", "empty-trace-csv-flag"])
+def test_config_errors_say_what_is_wrong(tmp_path, capsys, command, text, extra, message):
     path = tmp_path / "config.json"
     if text is not None:
         path.write_text(text)
-    rc = cli.main([command, "--config", str(path), "--report", str(tmp_path / "r.json")])
+    rc = cli.main([command, "--config", str(path), "--report", str(tmp_path / "r.json"), *extra])
     out, err = capsys.readouterr()
     assert rc == 2 and out == ""
     assert err.startswith(f"config error: {message}")

@@ -63,18 +63,6 @@ def test_gradient_vanishes_at_zero_of_residual():
     assert np.max(np.abs(rep.analytic_gradient)) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [make_quadratic(1.0), make_quadratic(2.0), make_bvp(16, 0.0, "sin_pi")],
-    ids=["quadratic-1", "quadratic-2", "bvp-16"],
-)
-def test_gradient_matches_finite_differences(problem):
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        v = rng.uniform(-2.0, 2.0, size=problem.n)
-        assert check_gradient(problem, v).max_relative_error <= 1e-6
-
-
 def test_dimension_one_gradient_equals_jacobian_times_residual():
     rng = np.random.default_rng(9)
     q = make_quadratic(1.7)

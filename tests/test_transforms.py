@@ -25,6 +25,7 @@ from zerocert import (
     search_mu,
     transformed_certificate_quadratic,
 )
+from zerocert.selftest import suite_gradient_checks
 
 
 @pytest.mark.parametrize(
@@ -81,14 +82,10 @@ def test_apply_dependent_values():
 
 
 def test_apply_dependent_jacobian_consistent():
-    from zerocert import check_gradient
     q = make_quadratic(1.5)
-    rng = np.random.default_rng(2)
-    for t in (linear_scale(-2.0), cubic_perturbation(0.5)):
-        p = apply_dependent(t, q)
-        for _ in range(20):
-            v = rng.uniform(-2.0, 2.0, size=1)
-            assert check_gradient(p, v).max_relative_error <= 1e-6
+    problems = [apply_dependent(t, q) for t in (linear_scale(-2.0), cubic_perturbation(0.5))]
+    result = suite_gradient_checks(2, problems=problems, points=20)
+    assert result.ok and result.passed == 40, result
 
 
 def test_dependent_transforms_apply_componentwise():
@@ -137,14 +134,10 @@ def test_recover_problem_independent_identity():
 
 
 def test_recover_problem_independent_jacobian_consistent():
-    from zerocert import check_gradient
     q = make_quadratic(2.0)
-    rng = np.random.default_rng(8)
-    for t in (scale(2.0), affine(1.5, -0.5)):
-        g = recover_problem_independent(t, q)
-        for _ in range(20):
-            v = rng.uniform(-2.0, 2.0, size=1)
-            assert check_gradient(g, v).max_relative_error <= 1e-6
+    problems = [recover_problem_independent(t, q) for t in (scale(2.0), affine(1.5, -0.5))]
+    result = suite_gradient_checks(8, problems=problems, points=20)
+    assert result.ok and result.passed == 40, result
 
 
 def test_pull_back_zero_values():
@@ -226,18 +219,6 @@ def test_transformed_certificate_rejects_zero_mu():
         transformed_certificate_quadratic(1.0, 0.0, 2.0, 0.5)
 
 
-def test_equivalence_of_certificate_forms_on_grid():
-    from zerocert import quadratic_domination_constant
-    for lam in (0.5, 1.0, 2.0):
-        for mu in (0.5, 1.0, 2.0, 3.0):
-            for x in (-3.0, -1.0, 0.4, 1.2, 2.0):
-                for r in (0.25, 0.5, 1.0):
-                    lam_g = lam / mu**2
-                    direct = abs(lam_g * x * x - 1.0) <= r * quadratic_domination_constant(lam_g, x, r)
-                    cert = transformed_certificate_quadratic(lam, mu, x, r)
-                    assert cert.passed == direct
-
-
 def test_group_closure_of_scalings():
     q = make_quadratic(1.0)
     rng = np.random.default_rng(16)
@@ -274,6 +255,17 @@ def test_build_mu_grid_excludes_zero():
     assert grid.min() < 0.0 < grid.max()
     grid, exclusion = build_mu_grid((0.5, 3.0), 10)
     assert exclusion is None and len(grid) == 10
+    # a range across 0 has grid_size values; each branch's share was rounded half to
+    # even, so (-1, 1) gave 4 values for grid_size 5 and 8 for 9, and (-1, 2) 2 for 1
+    for mu_range, grid_size, negatives in [
+        ((-1.0, 1.0), 5, 2), ((-1.0, 1.0), 9, 4), ((-1.0, 1.0), 2, 1), ((-1.0, 1.0), 1, 0),
+        ((-1.0, 2.0), 1, 0), ((-3.0, 1.0), 1, 1), ((-1.0, 2.0), 10, 3), ((-1.0, 3.0), 7, 2),
+        ((-1e308, 1.5e308), 10, 4),
+    ]:
+        for spacing in ("linear", "geometric"):
+            grid, _ = build_mu_grid(mu_range, grid_size, spacing)
+            assert len(grid) == grid_size and np.all(np.diff(grid) > 0.0)
+            assert np.count_nonzero(grid < 0.0) == negatives, (mu_range, grid_size)
 
 
 def test_build_mu_grid_geometric_spacing():
