@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError, InvalidMethodError
-from .functional import grad_phi, residual_norm
+from .functional import _weights, grad_phi, residual_norm
 from .problems import ResidualProblem, checked_output
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
@@ -232,7 +232,7 @@ def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.nd
     when a batched residual norm, or a ratio not clearly below the floor, is
     NaN or infinite, so the per-point path decides those cases.
     """
-    w = 1.0 if problem.weights is None else problem.weights
+    w = _weights(problem)
     rn = np.empty(len(points))
     ratio = np.empty(len(points))
     with np.errstate(all="ignore"):

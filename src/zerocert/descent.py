@@ -9,7 +9,6 @@ policy.  Every failure mode is a status, not an exception.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +71,9 @@ class DescentResult:
     """Where descent ended up.
 
     status "converged" guarantees residual_norm <= residual_tolerance and
-    in_ball; "stalled" means the accepted step size underflowed (typically:
-    no zero reachable inside the ball); "max_iterations" is the budget.
+    in_ball; "stalled" means that no trial step lowered phi strictly
+    (typically: no zero reachable inside the ball, or the residual at its
+    rounding floor); "max_iterations" is the budget.
     ``trace`` holds (k, phi, grad_norm, step) rows when requested.
     """
 
@@ -92,6 +92,8 @@ def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarr
         rw = np.sqrt(problem.weights)
         f = rw * f
         jac = rw[:, None] * jac
+    if not (np.isfinite(f).all() and np.isfinite(jac).all()):  # lstsq would raise
+        return None
     d, *_ = np.linalg.lstsq(jac, -f, rcond=None)
     if not np.all(np.isfinite(d)):
         return None
@@ -106,13 +108,13 @@ def solve(
 ) -> DescentResult:
     """Descend on phi from the ball center, keeping iterates in the ball.
 
-    Steps are accepted once phi at the trial point is finite and decreases
-    by at least sufficient_decrease * t * |<grad phi, direction>| (for
-    steepest descent that is the classical sufficient_decrease * t *
-    ||grad phi||^2); the trial step shrinks by backtrack_factor until then.
-    Termination: residual below tolerance (converged), iteration budget, or
-    accepted step size underflowing 1e-16 (stalled).  May be run without a certificate, in
-    which case the result carries no existence guarantee.
+    A trial step is accepted iff phi_trial < phi(v) and phi_trial <= phi(v)
+    + sufficient_decrease * t * <grad phi, direction>: a trial that does not
+    move, or whose phi is NaN or infinite, never passes.  t shrinks by
+    backtrack_factor until a trial passes.  Termination: residual below
+    tolerance (converged), iteration budget, or no trial passing before t
+    falls below 1e-16 (stalled).  Without a certificate the result carries
+    no existence guarantee.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
@@ -120,33 +122,20 @@ def solve(
 
     k = 0
     rn = residual_norm(problem, v)
-    status = None
-    while True:
-        if rn <= cfg.residual_tolerance:
-            status = STATUS_CONVERGED
-            break
+    status = STATUS_CONVERGED
+    while not rn <= cfg.residual_tolerance:  # a NaN norm has not converged
         if k >= cfg.max_iterations:
             status = STATUS_MAX_ITERATIONS
             break
 
         g = grad_phi(problem, v)
-        grad_norm = float(np.linalg.norm(g))
-        if grad_norm == 0.0:
-            status = STATUS_STALLED
-            break
-        d = None
-        if cfg.direction == "gauss_newton":
-            d = _gauss_newton_direction(problem, v)
-            if d is not None and float(g @ d) >= 0.0:
-                d = None
-        if d is None:
+        d = _gauss_newton_direction(problem, v) if cfg.direction == "gauss_newton" else None
+        if d is None or float(g @ d) >= 0.0:
             d = -g
         slope = float(g @ d)
 
         phi_v = phi(problem, v)
         t = cfg.initial_step
-        accepted = False
-        candidate = v
         while t >= STEP_UNDERFLOW:
             trial = v + t * d
             if not ball.contains(trial):
@@ -156,19 +145,16 @@ def solve(
                 offset = trial - ball.center
                 trial = ball.center + offset * (ball.radius / float(np.linalg.norm(offset)))
             phi_trial = phi(problem, trial)
-            # inf <= inf would accept a step that lowers nothing
-            if math.isfinite(phi_trial) and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
-                accepted = True
-                candidate = trial
+            if phi_trial < phi_v and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
                 break
             t *= cfg.backtrack_factor
-        if not accepted:
+        else:
             status = STATUS_STALLED
             break
 
         if trace is not None:
-            trace.append((k, phi_v, grad_norm, t))
-        v = candidate
+            trace.append((k, phi_v, float(np.linalg.norm(g)), t))
+        v = trial
         rn = residual_norm(problem, v)
         k += 1
 

@@ -9,7 +9,7 @@ analytic gradient against finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,7 +107,7 @@ def suite_gradient_checks(
     return SuiteResult("gradient_checks", passed, failed, first_failure)
 
 
-def run_selftest(seed: int = 42, out: Callable[[str], None] = print) -> int:
+def run_selftest(seed: int = 42) -> int:
     """Run all suites, print a pass/fail table, return 0 iff everything passed.
 
     ``seed`` must pass :func:`check_seed`.
@@ -119,9 +119,9 @@ def run_selftest(seed: int = 42, out: Callable[[str], None] = print) -> int:
         suite_gradient_checks(seed),
     ]
     width = max(len(s.name) for s in suites)
-    out(f"{'suite':<{width}}  pass  fail")
+    print(f"{'suite':<{width}}  pass  fail")
     for s in suites:
-        out(f"{s.name:<{width}}  {s.passed:>4}  {s.failed:>4}")
+        print(f"{s.name:<{width}}  {s.passed:>4}  {s.failed:>4}")
     ok = all(s.ok for s in suites)
-    out("selftest: " + ("OK" if ok else "FAILED"))
+    print("selftest: " + ("OK" if ok else "FAILED"))
     return 0 if ok else 1

@@ -7,6 +7,7 @@ from zerocert import (
     Ball,
     DescentConfig,
     InvalidConfigurationError,
+    ResidualProblem,
     certify,
     eval_residual,
     make_bvp,
@@ -66,6 +67,45 @@ def test_iterates_stay_in_ball_even_when_stalled():
     for policy in ("clip_to_ball", "reject_outside"):
         result = solve(make_quadratic(1.0), ball, DescentConfig(ball_policy=policy))
         assert np.linalg.norm(result.u - ball.center) <= ball.radius + 1e-12
+
+
+def test_clip_to_ball_stalls_at_the_sphere_instead_of_taking_null_steps():
+    # the clipped trial equals v and the Armijo term is below half an ulp of
+    # phi: the test passed with equality and the budget went on null steps
+    result = solve(make_quadratic(1.0), Ball(np.array([0.3]), 0.2),
+                   DescentConfig(max_iterations=50), record_trace=True)
+    assert result.status == "stalled"
+    assert result.iterations < 50
+    assert result.u.tolist() == [0.5]
+    phis = [row[1] for row in result.trace]
+    assert all(a > b for a, b in zip(phis, phis[1:]))
+
+
+def test_gauss_newton_stops_at_the_rounding_floor():
+    # the default tolerance 1e-10 is below this BVP's rounding floor: the
+    # solve reached the floor and then ran to max_iterations
+    result = solve(make_bvp(384, 1.0, "manufactured_sin"), Ball(np.zeros(384), 30.0),
+                   DescentConfig(direction="gauss_newton", max_iterations=20))
+    assert result.status == "stalled"
+    assert result.iterations < 20
+    assert result.residual_norm <= 2e-10
+
+
+def test_gauss_newton_falls_back_on_a_non_finite_system():
+    # F and J overflow at this centre: lstsq raised "SVD did not converge"
+    with np.errstate(all="ignore"):
+        result = solve(make_bvp(4, 1.0), Ball(np.full(4, 1e160), 0.5),
+                       DescentConfig(direction="gauss_newton"))
+    assert result.status == "stalled"
+    assert result.iterations == 0
+
+
+def test_nan_residual_never_counts_as_converged():
+    nan = ResidualProblem(name="nan", n=1, m=1, residual=lambda v: np.full(1, np.nan),
+                          jacobian=lambda v: np.ones((1, 1)))
+    result = solve(nan, Ball(np.array([0.0]), 1.0))
+    assert result.status == "stalled"
+    assert result.iterations == 0
 
 
 def test_reject_outside_policy_converges_for_interior_zero():
