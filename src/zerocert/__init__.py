@@ -28,9 +28,6 @@ from .exceptions import (
     ConfigError,
     InputShapeError,
     InvalidConfigurationError,
-    InvalidMethodError,
-    InvalidParameterError,
-    SingularRatioError,
     ZerocertError,
 )
 from .functional import (
@@ -50,19 +47,14 @@ from .problems import (
     make_quadratic,
 )
 from .transforms import (
-    DependentTransform,
-    IndependentTransform,
     SweepPoint,
+    Transform,
     TransformSearchResult,
-    affine,
     apply_dependent,
     build_mu_grid,
     cubic_perturbation,
-    dependent_condition_ratio,
-    independent_condition_value,
     linear_scale,
     pull_back_zero,
-    recover_problem_dependent,
     recover_problem_independent,
     scale,
     search_mu,
@@ -75,44 +67,36 @@ __all__ = [
     "Ball",
     "Certificate",
     "ConfigError",
-    "DependentTransform",
     "DescentConfig",
     "DescentResult",
     "GradientCheckReport",
-    "IndependentTransform",
     "InputShapeError",
     "InvalidConfigurationError",
-    "InvalidMethodError",
-    "InvalidParameterError",
     "METHOD_CLOSED_FORM",
     "METHOD_SAMPLED",
     "ResidualProblem",
     "SamplingConfig",
-    "SingularRatioError",
     "SweepPoint",
+    "Transform",
     "TransformSearchResult",
     "ZerocertError",
-    "affine",
     "apply_dependent",
     "build_mu_grid",
     "bvp_forcing",
     "certify",
     "check_gradient",
     "cubic_perturbation",
-    "dependent_condition_ratio",
     "domination_constant_sampled",
     "eval_jacobian",
     "eval_residual",
     "finite_difference_jacobian",
     "grad_phi",
-    "independent_condition_value",
     "linear_scale",
     "make_bvp",
     "make_quadratic",
     "phi",
     "pull_back_zero",
     "quadratic_domination_constant",
-    "recover_problem_dependent",
     "recover_problem_independent",
     "residual_norm",
     "sample_ball",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import InputShapeError, InvalidConfigurationError, InvalidMethodError
+from .exceptions import InputShapeError, InvalidConfigurationError
 from .functional import _weights, grad_phi, residual_norm
 from .problems import ResidualProblem, checked_output
 
@@ -296,16 +296,16 @@ def domination_constant_sampled(
 
 
 def check_method(problem: ResidualProblem, method: str) -> None:
-    """Raise InvalidMethodError unless ``method`` can certify ``problem``.
+    """Raise InvalidConfigurationError unless ``method`` can certify ``problem``.
 
     ``closed_form_quadratic`` is only valid for the quadratic built-in family.
     """
     if method not in (METHOD_CLOSED_FORM, METHOD_SAMPLED):
-        raise InvalidMethodError(
+        raise InvalidConfigurationError(
             f"unknown method {method!r}, expected {METHOD_CLOSED_FORM!r} or {METHOD_SAMPLED!r}"
         )
     if method == METHOD_CLOSED_FORM and not problem.is_quadratic:
-        raise InvalidMethodError(
+        raise InvalidConfigurationError(
             f"method {method!r} requires the quadratic problem, got {problem.name!r}"
         )
 

@@ -54,7 +54,7 @@ import numpy as np
 from . import report as report_io
 from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method, check_seed
 from .descent import DescentConfig, solve, verify_solution
-from .exceptions import ConfigError, InvalidConfigurationError, InvalidMethodError, ZerocertError
+from .exceptions import ConfigError, InvalidConfigurationError, ZerocertError
 from .functional import check_gradient, residual_norm
 from .problems import ResidualProblem, make_bvp, make_quadratic
 from .selftest import run_selftest
@@ -166,7 +166,7 @@ def _section(name: str):
     """Report a constructor's rejection of a value as a config error in ``name``."""
     try:
         yield
-    except (InvalidConfigurationError, InvalidMethodError) as exc:
+    except InvalidConfigurationError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 

@@ -10,19 +10,11 @@ class InputShapeError(ZerocertError, ValueError):
 
 
 class InvalidConfigurationError(ZerocertError, ValueError):
-    """A construction or run parameter is out of its valid range."""
+    """A construction or run parameter is outside its admissible set.
 
-
-class InvalidMethodError(ZerocertError, ValueError):
-    """A certificate method was requested on a problem that does not support it."""
-
-
-class InvalidParameterError(ZerocertError, ValueError):
-    """A transform parameter is outside the family's admissible set."""
-
-
-class SingularRatioError(ZerocertError, ZeroDivisionError):
-    """A condition ratio was evaluated where its denominator vanishes."""
+    Raised for an out-of-range value, a transform parameter outside its
+    family's domain and a certificate method the problem does not support.
+    """
 
 
 class ConfigError(ZerocertError, ValueError):

@@ -4,15 +4,18 @@ The JSON report is written by ``json.dumps``, whose floats take Python's
 shortest spelling that round-trips; the CSVs (like stdout) print floats with
 17 significant digits, which round-trip too.  A result dataclass is written
 as the object of its fields in declaration order, and a numpy array or
-scalar as its list or number.  Given a fixed config (and seed)
-the emitted bytes are deterministic apart from the timing fields, and a NaN
-or infinite value is an error, never written.
+scalar as its list or number.  A non-finite value has one spelling
+everywhere, the one ``format(v, ".17g")`` gives: ``inf``, ``-inf`` or
+``nan``, printed bare on stdout and in CSV cells and written as a JSON
+string, so the report stays strict JSON.  Given a fixed config (and seed)
+the emitted bytes are deterministic apart from the timing fields.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields, is_dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -21,23 +24,28 @@ import numpy as np
 
 
 def format_float(v: float) -> str:
-    v = float(v)
-    if not np.isfinite(v):
-        raise ValueError(f"non-finite value {v!r} in report")
-    return format(v, ".17g")
+    return format(float(v), ".17g")
 
 
 def _plain(obj):
+    """``obj`` with dataclasses as dicts of their fields, numpy values as lists
+    or numbers, and non-finite floats as their :func:`format_float` text."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else format_float(obj)
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
     # shallow on purpose: dataclasses.asdict would deep-copy every array first
     if is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in fields(obj)}
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        return _plain(obj.tolist())
+    return obj
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, allow_nan=False, default=_plain) + "\n"
+    return json.dumps(_plain(obj), indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path: str | Path, obj) -> None:

@@ -2,16 +2,17 @@
 
 Two invertible transform families rewrite F(u) = 0 in equivalent forms:
 
-- dependent transforms A act on the codomain with A(0) = 0, giving A o F;
-  zeros are preserved in both directions because A is invertible and fixes 0.
-- independent transforms B reparameterize the domain; writing F = G o B, the
-  recovered problem G = F o B^-1 has zeros exactly at B-images of F's zeros,
-  so a zero v* of G pulls back to the zero B^-1(v*) of F.
+- dependent transforms A (:func:`linear_scale`, :func:`cubic_perturbation`)
+  act on the codomain with A(0) = 0; :func:`apply_dependent` gives A o F,
+  whose zeros are F's because A is invertible and fixes 0.
+- the independent transform B(v) = mu*v (:func:`scale`) reparameterizes the
+  domain; writing F = G o B, :func:`recover_problem_independent` gives
+  G = F o B^-1, whose zeros are the B-images of F's, and
+  :func:`pull_back_zero` maps a zero v* of G to the zero B^-1(v*) of F.
 
 The certificate conditions change under either rewrite, and the transform
 parameter is a knob: sweeping it can turn a failing certificate into a
-passing one.  :func:`search_mu` performs that sweep for the scaling family
-B(v) = mu*v.
+passing one.  :func:`search_mu` performs that sweep over mu.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from .certificate import (
     check_method,
     quadratic_domination_constant,
 )
-from .exceptions import (
-    InputShapeError,
-    InvalidConfigurationError,
-    InvalidParameterError,
-    SingularRatioError,
-)
+from .exceptions import InputShapeError, InvalidConfigurationError
 from .problems import ResidualProblem, eval_jacobian
 
 CUBIC_INVERSE_TOL = 1e-14
@@ -49,8 +45,8 @@ class Transform:
 
     A dependent transform A acts on the codomain and fixes 0; an independent
     transform B reparameterizes the domain.  ``forward``, ``derivative`` and
-    ``inverse`` accept scalars or arrays and operate elementwise.  Every
-    built-in independent family has constant nonzero derivative, so
+    ``inverse`` accept scalars or arrays and operate elementwise.  The
+    independent family ``scale`` has constant nonzero derivative, so
     bijectivity holds by construction.
     """
 
@@ -61,14 +57,11 @@ class Transform:
     inverse: Callable
 
 
-DependentTransform = IndependentTransform = Transform
-
-
 def _linear(family: str, name: str, a: float) -> Transform:
     """The map y -> a*y, a != 0, as transform ``family`` with parameter ``name``."""
     a = float(a)
     if a == 0.0:
-        raise InvalidParameterError(f"{family} needs {name} != 0")
+        raise InvalidConfigurationError(f"{family} needs {name} != 0")
     return Transform(
         family=family,
         params={name: a},
@@ -117,7 +110,7 @@ def cubic_perturbation(beta: float) -> Transform:
     """
     beta = float(beta)
     if beta < 0.0:
-        raise InvalidParameterError("cubic_perturbation needs beta >= 0")
+        raise InvalidConfigurationError("cubic_perturbation needs beta >= 0")
     return Transform(
         family="cubic_perturbation",
         params={"beta": beta},
@@ -130,21 +123,6 @@ def cubic_perturbation(beta: float) -> Transform:
 def scale(mu: float) -> Transform:
     """Independent transform B(v) = mu*v, mu != 0."""
     return _linear("scale", "mu", mu)
-
-
-def affine(mu: float, shift: float) -> Transform:
-    """Independent transform B(v) = mu*v + shift, mu != 0."""
-    mu = float(mu)
-    shift = float(shift)
-    if mu == 0.0:
-        raise InvalidParameterError("affine needs mu != 0")
-    return Transform(
-        family="affine",
-        params={"mu": mu, "shift": shift},
-        forward=lambda v: mu * np.asarray(v, dtype=float) + shift,
-        derivative=lambda v: np.full_like(np.asarray(v, dtype=float), mu),
-        inverse=lambda v: (np.asarray(v, dtype=float) - shift) / mu,
-    )
 
 
 def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualProblem:
@@ -177,25 +155,6 @@ def apply_dependent(transform: Transform, problem: ResidualProblem) -> ResidualP
         weights=problem.weights,
         vjp_batch=vjp_batch,
     )
-
-
-def _inverted(transform: Transform) -> Transform:
-    """A^-1 as a transform: forward and inverse swapped, derivative 1/A'(A^-1(y))."""
-    return Transform(
-        family=f"{transform.family}^-1",
-        params=transform.params,
-        forward=transform.inverse,
-        derivative=lambda y: 1.0 / np.asarray(transform.derivative(transform.inverse(y)), dtype=float),
-        inverse=transform.forward,
-    )
-
-
-def recover_problem_dependent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
-    """Peel a dependent transform off F: the problem G = A^-1 o F, with F = A o G.
-
-    Its zeros coincide with F's.
-    """
-    return apply_dependent(_inverted(transform), problem_f)
 
 
 def recover_problem_independent(transform: Transform, problem_f: ResidualProblem) -> ResidualProblem:
@@ -240,36 +199,6 @@ def pull_back_zero(transform: Transform, v_star) -> np.ndarray:
     return np.atleast_1d(np.asarray(transform.inverse(np.asarray(v_star, dtype=float)), dtype=float))
 
 
-def dependent_condition_ratio(transform: Transform, g: float) -> float:
-    """Relaxation ratio |A(g) / (g * A'(g))| for a dependent transform.
-
-    A lower bound c_G/c on this ratio over the ball transfers a domination
-    constant c for A o G to the constant c_G for G.  Identically 1 for
-    linear scalings, which is why they never enlarge the constant.
-    """
-    g = float(g)
-    if g == 0.0:
-        raise SingularRatioError("ratio undefined at g = 0")
-    d = float(np.asarray(transform.derivative(g)))
-    if d == 0.0:
-        raise SingularRatioError("ratio undefined where A'(g) = 0")
-    a = float(np.asarray(transform.forward(g)))
-    return abs(a / (g * d))
-
-
-def independent_condition_value(transform: Transform, v: float) -> float:
-    """Relaxation value (B^-1)'(B(v)) = 1/B'(v) for an independent transform.
-
-    A lower bound c_G/c on this value over the ball transfers a domination
-    constant c for G o B to the constant c_G for G; for the built-in families
-    it is the constant 1/mu.
-    """
-    d = float(np.asarray(transform.derivative(float(v))))
-    if d == 0.0:
-        raise SingularRatioError("value undefined where B'(v) = 0")
-    return 1.0 / d
-
-
 def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float) -> Certificate:
     """Closed-form certificate for the mu-rescaled quadratic problem.
 
@@ -284,7 +213,7 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     """
     mu = float(mu)
     if mu == 0.0:
-        raise InvalidParameterError("mu must be nonzero")
+        raise InvalidConfigurationError("mu must be nonzero")
     lam = float(lam)
     x = float(x)
     r = float(r)

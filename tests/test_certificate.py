@@ -6,7 +6,6 @@ import pytest
 from zerocert import (
     Ball,
     InvalidConfigurationError,
-    InvalidMethodError,
     ResidualProblem,
     SamplingConfig,
     certify,
@@ -134,9 +133,9 @@ def test_overflowing_certificate_fails():
 
 def test_certify_rejects_closed_form_on_non_quadratic():
     p = make_bvp(8, 0.0, "zero")
-    with pytest.raises(InvalidMethodError):
+    with pytest.raises(InvalidConfigurationError):
         certify(p, Ball(np.zeros(8), 1.0), "closed_form_quadratic")
-    with pytest.raises(InvalidMethodError):
+    with pytest.raises(InvalidConfigurationError):
         certify(p, Ball(np.zeros(8), 1.0), "newton")
 
 

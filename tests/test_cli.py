@@ -520,6 +520,50 @@ def test_sampled_search_survives_a_huge_mu(tmp_path, capsys):
     assert report["transform_search"]["any_passed"] is False
 
 
+def strict_report(tmp_path):
+    """The report, parsed as strict JSON: NaN and Infinity tokens are rejected."""
+    def reject(token):
+        raise ValueError(f"{token} is not strict JSON")
+    return json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+
+
+@pytest.mark.parametrize("command, out", [
+    ("certify", "FAIL lhs=inf rhs=0 slack=-inf c=0 method=sampled\n"),
+    ("solve", "FAIL lhs=inf rhs=0 slack=-inf c=0 method=sampled\n"
+              "stalled iterations=0 residual=inf u=[1e+160, 1e+160, 1e+160, 1e+160] FAIL\n"),
+], ids=["certify", "solve"])
+def test_an_infinite_residual_norm_reaches_stdout_and_report(tmp_path, capsys, command, out):
+    # ||F(x)|| overflows to inf here: both commands exited 3 with "non-finite
+    # value inf in report", printed no verdict and wrote no report
+    cfg = {"problem": {"name": "bvp", "grid_points": 4, "gamma": 1.0},
+           "ball": {"center": [1e160] * 4, "radius": 0.5},
+           "certificate": {"method": "sampled", "samples_per_axis": 2},
+           "descent": {"max_iterations": 5}}
+    with np.errstate(all="ignore"):
+        rc, _ = run(tmp_path, command, cfg)
+    assert rc == 0
+    assert capsys.readouterr().out == out
+    report = strict_report(tmp_path)
+    assert report["certificate"]["lhs"] == "inf" and report["certificate"]["slack"] == "-inf"
+    assert report["certificate"]["passed"] is False
+    if command == "solve":
+        assert report["descent"]["residual_norm"] == "inf" and report["verified"] is False
+
+
+def test_closed_form_search_reports_an_infinite_lhs(tmp_path, capsys):
+    # mu**2 overflows at mu = 1e155: the verdict printed, then the run exited 3
+    # with "Out of range float values are not JSON compliant: inf" and no report
+    cfg = {**QUAD_FAIL,
+           "transform": {"family": "scale", "mu_min": 0.5, "mu_max": 1e155, "grid_size": 5}}
+    sweep_csv = tmp_path / "sweep.csv"
+    rc, _ = run(tmp_path, "search", cfg, extra=("--sweep-csv", str(sweep_csv)))
+    assert rc == 0
+    assert capsys.readouterr().out == "FAIL best mu=0.5 slack=-2.25\n"
+    last = strict_report(tmp_path)["transform_search"]["sweep"][-1]
+    assert (last["mu"], last["lhs"], last["slack"], last["passed"]) == (1e155, "inf", "-inf", False)
+    assert sweep_csv.read_text().splitlines()[-1] == "1e+155,3,inf,1.5,-inf,false"
+
+
 @pytest.mark.parametrize("command, text, extra, message", [
     ("certify", json.dumps({**QUAD_FAIL, "ball": {"center": [2.0], "radius": "0.5"}}), (),
      "ball.radius: expected a number, got str"),
