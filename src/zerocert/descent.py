@@ -16,7 +16,7 @@ import numpy as np
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
 from .functional import grad_phi, phi, residual_norm
-from .problems import ResidualProblem, eval_jacobian, eval_residual
+from .problems import ResidualProblem, checked_output, eval_jacobian, eval_residual
 
 STEP_UNDERFLOW = 1e-16
 CONTAINMENT_TOL = 1e-12
@@ -37,8 +37,9 @@ class DescentConfig:
     ball: "clip_to_ball" radially projects it onto the sphere (default),
     "reject_outside" treats it as a failed trial and shrinks the step.
     ``direction`` is "steepest" (gradient flow of phi, the default) or
-    "gauss_newton" (least-squares model step, falling back to steepest
-    whenever it is not a descent direction).
+    "gauss_newton" (least-squares model step, through the problem's
+    ``newton_solve`` when it has one, falling back to steepest whenever it
+    is not a descent direction).
     """
 
     residual_tolerance: float = 1e-10
@@ -87,14 +88,20 @@ class DescentResult:
 
 def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarray | None:
     f = eval_residual(problem, v)
-    jac = eval_jacobian(problem, v)
-    if problem.weights is not None:
-        rw = np.sqrt(problem.weights)
-        f = rw * f
-        jac = rw[:, None] * jac
-    if not (np.isfinite(f).all() and np.isfinite(jac).all()):  # lstsq would raise
-        return None
-    d, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+    if problem.newton_solve is not None:
+        # J is square and nonsingular: the weighted least-squares step is the Newton step
+        if not np.isfinite(f).all():
+            return None
+        d = checked_output(problem, "newton_solve", problem.newton_solve(v, -f), (problem.n,))
+    else:
+        jac = eval_jacobian(problem, v)
+        if problem.weights is not None:
+            rw = np.sqrt(problem.weights)
+            f = rw * f
+            jac = rw[:, None] * jac
+        if not (np.isfinite(f).all() and np.isfinite(jac).all()):  # lstsq would raise
+            return None
+        d, *_ = np.linalg.lstsq(jac, -f, rcond=None)
     if not np.all(np.isfinite(d)):
         return None
     return d

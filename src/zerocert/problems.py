@@ -34,6 +34,15 @@ class ResidualProblem:
     (k, m) array of their residuals.  The sampled domination constant uses
     both to screen all points at once; without ``vjp_batch`` every point
     takes the per-point path.
+
+    ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
+    returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem
+    that sets it promises m == n and that DF(v) is the Jacobian ``jacobian``
+    returns, and it raises nothing and writes no warning: where the solve
+    breaks down (a zero pivot) it returns NaN entries, and an overflow or a
+    NaN propagates as a value.
+    Gauss-Newton descent then takes the Newton step through it and builds
+    no Jacobian; without it every step is a dense least-squares solve.
     """
 
     name: str
@@ -44,6 +53,7 @@ class ResidualProblem:
     weights: np.ndarray | None = None
     params: Mapping[str, object] = field(default_factory=dict)
     vjp_batch: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    newton_solve: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     @property
     def has_analytic_jacobian(self) -> bool:
@@ -171,7 +181,8 @@ def make_bvp(
         -(v[i-1] - 2 v[i] + v[i+1])/h^2 + gamma*v[i]^3 - f(t_i)
 
     with boundary values 0, so F maps R^N to R^N.  The Jacobian is the
-    tridiagonal difference matrix plus the diagonal 3*gamma*v^2.
+    tridiagonal difference matrix plus the diagonal 3*gamma*v^2, so the
+    problem's ``newton_solve`` is a tridiagonal (Thomas) solve.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -215,6 +226,24 @@ def make_bvp(
         diagonal = 2.0 * inv_h2 + 3.0 * gamma * V**2
         return diagonal * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
 
+    # Thomas elimination on tridiag(-1/h^2, 2/h^2 + 3*gamma*v^2, -1/h^2), in
+    # Python floats: O(n), and an overflow or a NaN propagates without a warning
+    def newton_solve(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+        pivots = [2.0 * inv_h2 + 3.0 * gamma * x * x for x in v.tolist()]
+        z = y.tolist()
+        x = [0.0] * n
+        try:
+            for i in range(1, n):
+                factor = inv_h2 / pivots[i - 1]
+                pivots[i] -= factor * inv_h2
+                z[i] += factor * z[i - 1]
+            x[-1] = z[-1] / pivots[-1]
+            for i in range(n - 2, -1, -1):
+                x[i] = (z[i] + inv_h2 * x[i + 1]) / pivots[i]
+        except ZeroDivisionError:  # a zero pivot: no step from this point
+            return np.full(n, np.nan)
+        return np.array(x)
+
     return ResidualProblem(
         name="bvp",
         n=n,
@@ -224,4 +253,5 @@ def make_bvp(
         weights=h * np.ones(n) if quadrature_weights else None,
         params={"grid_points": n, "gamma": gamma, "forcing": forcing_name},
         vjp_batch=vjp_batch,
+        newton_solve=newton_solve,
     )

@@ -179,6 +179,13 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
             W = np.asarray(transform.inverse(V), dtype=float)
             return problem_f.vjp_batch(W, Y) / np.asarray(transform.derivative(W), dtype=float)
 
+    # J_G(v) = J_F(w) diag(1/B'(w)) with w = B^-1(v), so J_G(v)^-1 y = B'(w) * J_F(w)^-1 y
+    newton_solve = None
+    if problem_f.newton_solve is not None:
+        def newton_solve(v: np.ndarray, y: np.ndarray) -> np.ndarray:
+            w = np.asarray(transform.inverse(v), dtype=float)
+            return np.asarray(transform.derivative(w), dtype=float) * problem_f.newton_solve(w, y)
+
     return ResidualProblem(
         name=f"{problem_f.name}o{transform.family}^-1",
         n=problem_f.n,
@@ -187,6 +194,7 @@ def recover_problem_independent(transform: Transform, problem_f: ResidualProblem
         jacobian=jacobian,
         weights=problem_f.weights,
         vjp_batch=vjp_batch,
+        newton_solve=newton_solve,
     )
 
 

@@ -1,9 +1,10 @@
-"""The optional batched hooks of a problem and the screen that uses them.
+"""The optional hooks of a problem and the code that uses them.
 
 The screen in ``domination_constant_sampled`` may only narrow the points
 the per-point loop visits, never change the constant it returns, so every
 estimate here is compared exactly with the same call on a copy of the
-problem whose hooks are removed.
+problem whose hooks are removed.  ``newton_solve`` is compared with a dense
+solve of the analytic Jacobian.
 """
 
 import dataclasses
@@ -69,12 +70,12 @@ def test_batched_hooks_match_per_point_evaluation(name):
 
 
 def test_problems_without_hooks_keep_none_through_transforms():
-    plain = per_point(make_bvp(4, 1.0))
+    plain = dataclasses.replace(make_bvp(4, 1.0), vjp_batch=None, newton_solve=None)
     for p in (
         recover_problem_independent(scale(2.0), plain),
         apply_dependent(cubic_perturbation(1.0), plain),
     ):
-        assert p.vjp_batch is None
+        assert p.vjp_batch is None and p.newton_solve is None
 
 
 def test_batched_output_shapes_are_checked():
@@ -162,3 +163,52 @@ def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
     c = domination_constant_sampled(user, Ball(np.array([2.0]), 0.5), samples_per_axis=101)
     assert c == pytest.approx(2.7)
     assert len(calls) == 101
+
+
+NEWTON = {
+    **{
+        f"bvp{n}-gamma{gamma:g}{'-weighted' if weighted else ''}": make_bvp(
+            n, gamma, "manufactured_sin", quadrature_weights=weighted
+        )
+        for n in (2, 8, 384)
+        for gamma in (1.0, 0.0, -1.0, -5.0)
+        for weighted in (False, True)
+    },
+    **{
+        f"independent-scale{mu:g}{'-weighted' if weighted else ''}": recover_problem_independent(
+            scale(mu), make_bvp(8, gamma, "sin_pi", quadrature_weights=weighted)
+        )
+        for mu, gamma in ((1.7, 1.0), (-0.8, -5.0))
+        for weighted in (False, True)
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEWTON))
+def test_newton_solve_matches_the_dense_solve(name):
+    p = NEWTON[name]
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        v = rng.normal(scale=2.0, size=p.n)
+        y = rng.normal(size=p.n)
+        jac = eval_jacobian(p, v)
+        dense = np.linalg.solve(jac, y)
+        x = p.newton_solve(v, y)
+        assert x.shape == (p.n,)
+        bound = 1e-14 * np.linalg.cond(jac) * np.linalg.norm(dense)
+        assert np.linalg.norm(x - dense) <= bound
+
+
+@pytest.mark.parametrize("gamma, v, y", [
+    # the first pivot 2/h^2 + 3*gamma*v[0]^2 = 18 - 18 is exactly zero
+    (-6.0, [1.0, 0.0], [1.0, 1.0]),
+    # the last pivot 4.5 - 81/18 is exactly zero
+    (-4.5, [0.0, 1.0], [1.0, 1.0]),
+    (1.0, [np.nan, 0.0], [1.0, 1.0]),
+    (1.0, [1e160, 1e160], [np.inf, 1.0]),
+], ids=["zero-first-pivot", "zero-last-pivot", "nan-point", "overflow"])
+def test_newton_solve_breaks_down_to_nan_without_a_warning(gamma, v, y):
+    p = make_bvp(2, gamma)
+    with np.errstate(all="raise"):
+        x = p.newton_solve(np.array(v), np.array(y))
+    assert x.shape == (2,) and np.isnan(x).any()

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -562,6 +565,29 @@ def test_closed_form_search_reports_an_infinite_lhs(tmp_path, capsys):
     last = strict_report(tmp_path)["transform_search"]["sweep"][-1]
     assert (last["mu"], last["lhs"], last["slack"], last["passed"]) == (1e155, "inf", "-inf", False)
     assert sweep_csv.read_text().splitlines()[-1] == "1e+155,3,inf,1.5,-inf,false"
+
+
+OVERFLOW = Path(__file__).resolve().parent / "bvp_overflow.json"
+
+
+@pytest.mark.parametrize("command, out", [
+    ("certify", "FAIL lhs=inf rhs=0 slack=-inf c=0 method=sampled\n"),
+    ("solve", "FAIL lhs=inf rhs=0 slack=-inf c=0 method=sampled\n"
+              "stalled iterations=0 residual=inf u=[1e+160, 1e+160, 1e+160, 1e+160] FAIL\n"),
+], ids=["certify", "solve"])
+def test_an_overflowing_run_writes_no_warning(tmp_path, command, out):
+    # F overflows at this centre: numpy's RuntimeWarnings went to stderr, and
+    # under -W error::RuntimeWarning the run died with a traceback and exit 1
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "zerocert.cli", command,
+         "--config", str(OVERFLOW), "--report", str(tmp_path / "report.json")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
+    assert strict_report(tmp_path)["certificate"]["passed"] is False
 
 
 @pytest.mark.parametrize("command, text, extra, message", [

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from zerocert import descent
 from zerocert import (
     Ball,
     DescentConfig,
@@ -91,13 +93,45 @@ def test_gauss_newton_stops_at_the_rounding_floor():
     assert result.residual_norm <= 2e-10
 
 
-def test_gauss_newton_falls_back_on_a_non_finite_system():
-    # F and J overflow at this centre: lstsq raised "SVD did not converge"
-    with np.errstate(all="ignore"):
-        result = solve(make_bvp(4, 1.0), Ball(np.full(4, 1e160), 0.5),
-                       DescentConfig(direction="gauss_newton"))
-    assert result.status == "stalled"
-    assert result.iterations == 0
+def fail(name):
+    def raise_(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return raise_
+
+
+def test_gauss_newton_falls_back_on_a_non_finite_system(monkeypatch):
+    # F and J overflow at this centre: lstsq used to raise "SVD did not
+    # converge"; the BVP's Newton solve and the dense twin's guard both
+    # return no direction, and neither reaches lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", fail("lstsq"))
+    p = make_bvp(4, 1.0)
+    for problem in (p, dataclasses.replace(p, newton_solve=None)):
+        with np.errstate(all="ignore"):
+            result = solve(problem, Ball(np.full(4, 1e160), 0.5),
+                           DescentConfig(direction="gauss_newton"))
+        assert result.status == "stalled"
+        assert result.iterations == 0
+
+
+def test_gauss_newton_on_the_bvp_builds_no_jacobian_and_calls_no_lstsq(monkeypatch):
+    monkeypatch.setattr(np.linalg, "lstsq", fail("lstsq"))
+    monkeypatch.setattr(descent, "eval_jacobian", fail("eval_jacobian"))
+    result = solve(make_bvp(64, 1.0, "manufactured_sin", quadrature_weights=True),
+                   Ball(np.zeros(64), 10.0), DescentConfig(direction="gauss_newton"))
+    assert result.status == "converged"
+
+
+def test_gauss_newton_without_newton_solve_takes_the_dense_path(monkeypatch):
+    calls = []
+    original = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or original(*a, **k))
+    p = make_bvp(16, 1.0, "manufactured_sin")
+    cfg = DescentConfig(direction="gauss_newton")
+    dense = solve(dataclasses.replace(p, newton_solve=None), Ball(np.zeros(16), 10.0), cfg)
+    assert dense.status == "converged" and len(calls) == dense.iterations == 4
+    fast = solve(p, Ball(np.zeros(16), 10.0), cfg)
+    assert len(calls) == 4
+    assert fast.iterations == 4 and np.max(np.abs(fast.u - dense.u)) <= 1e-14
 
 
 def test_nan_residual_never_counts_as_converged():
