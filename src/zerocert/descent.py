@@ -9,14 +9,23 @@ policy.  Every failure mode is a status, not an exception.
 
 from __future__ import annotations
 
+import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
-from .functional import grad_phi, phi, residual_norm
-from .problems import ResidualProblem, checked_output, eval_jacobian, eval_residual
+from .functional import grad_phi, norm_of_residual, phi_of_residual, phi_rows, residual_norm
+from .problems import (
+    ResidualProblem,
+    block_rows,
+    checked_output,
+    eval_jacobian,
+    eval_residual,
+    residual_rows,
+)
 
 STEP_UNDERFLOW = 1e-16
 CONTAINMENT_TOL = 1e-12
@@ -107,6 +116,48 @@ def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarr
     return d
 
 
+def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: list,
+                 v: np.ndarray, d: np.ndarray, slope: float, phi_v: float,
+                 size: int, max_rows: int) -> tuple | None:
+    """The first ladder entry whose trial passes, as (index, trial, F(trial), phi(trial)).
+
+    The ladder is searched in blocks of ``size`` entries, each block twice as
+    long as the one before and at most ``max_rows`` long; ``ladder`` grows
+    by the same repeated multiplication until an entry falls below
+    STEP_UNDERFLOW.  None when no entry above it passes.
+    """
+    j = 0
+    while True:
+        while len(ladder) < j + size and ladder[-1] >= STEP_UNDERFLOW:
+            ladder.append(ladder[-1] * cfg.backtrack_factor)
+        steps = [t for t in ladder[j:j + size] if t >= STEP_UNDERFLOW]
+        if not steps:
+            return None
+        # rows past the first passing one are speculative: they may overflow
+        # where the sequential ladder would never have evaluated them
+        with np.errstate(all="ignore") if len(steps) > 1 else contextlib.nullcontext():
+            trials = v + np.array(steps)[:, None] * d
+            offsets = trials - ball.center
+            # each row's norm as np.linalg.norm computes it in Ball.contains
+            norms = np.sqrt([o.dot(o) for o in offsets])
+            inside = norms <= ball.radius
+            if cfg.ball_policy == CLIP_TO_BALL:
+                out = ~inside
+                trials[out] = ball.center + offsets[out] * (ball.radius / norms[out])[:, None]
+                kept = np.arange(len(steps))
+            else:
+                kept = np.flatnonzero(inside)
+            if len(kept):
+                V = trials[kept]
+                R = np.asarray(residual_rows(problem, V), dtype=float)
+                for row, (i, phi_trial) in enumerate(zip(kept, phi_rows(problem, R))):
+                    t = steps[i]
+                    if phi_trial < phi_v and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
+                        return j + int(i), V[row], R[row], phi_trial
+        j += len(steps)
+        size = min(2 * size, max_rows)
+
+
 def solve(
     problem: ResidualProblem,
     ball: Ball,
@@ -117,18 +168,34 @@ def solve(
 
     A trial step is accepted iff phi_trial < phi(v) and phi_trial <= phi(v)
     + sufficient_decrease * t * <grad phi, direction>: a trial that does not
-    move, or whose phi is NaN or infinite, never passes.  t shrinks by
-    backtrack_factor until a trial passes.  Termination: residual below
-    tolerance (converged), iteration budget, or no trial passing before t
-    falls below 1e-16 (stalled).  Without a certificate the result carries
-    no existence guarantee.
+    move, or whose phi is NaN or infinite, never passes.  The steps t run
+    down the ladder initial_step * backtrack_factor^j, and the first one
+    whose trial passes is accepted.  Termination: residual below tolerance
+    (converged), iteration budget, or no trial passing before t falls below
+    1e-16 (stalled); a slope that is zero, infinite or NaN lets no trial
+    pass, so it stalls without evaluating one.  Without a certificate the
+    result carries no existence guarantee.
+
+    A problem with ``vjp_batch`` has its ladder evaluated in blocks of
+    trials, one batched ``residual`` call each: the first block runs down
+    to the step the previous iteration accepted, each later block is twice
+    as long, and none exceeds :func:`residual_rows`'s element bound.  The
+    first passing trial in ladder order is the one the sequential search
+    accepts, so the iterates are bit-identical to it.  Any other problem
+    evaluates one trial at a time.  The accepted trial's residual gives the
+    next iterate's norm and phi.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
     trace: list[tuple] | None = [] if record_trace else None
+    ladder = [cfg.initial_step]
+    max_rows = block_rows(problem)
+    accepted = 0  # the ladder index of the last accepted step
 
     k = 0
-    rn = residual_norm(problem, v)
+    r = eval_residual(problem, v)
+    rn = norm_of_residual(problem, r)
+    phi_v = phi_of_residual(problem, r)
     status = STATUS_CONVERGED
     while not rn <= cfg.residual_tolerance:  # a NaN norm has not converged
         if k >= cfg.max_iterations:
@@ -140,29 +207,20 @@ def solve(
         if d is None or float(g @ d) >= 0.0:
             d = -g
         slope = float(g @ d)
-
-        phi_v = phi(problem, v)
-        t = cfg.initial_step
-        while t >= STEP_UNDERFLOW:
-            trial = v + t * d
-            if not ball.contains(trial):
-                if cfg.ball_policy == REJECT_OUTSIDE:
-                    t *= cfg.backtrack_factor
-                    continue
-                offset = trial - ball.center
-                trial = ball.center + offset * (ball.radius / float(np.linalg.norm(offset)))
-            phi_trial = phi(problem, trial)
-            if phi_trial < phi_v and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
-                break
-            t *= cfg.backtrack_factor
-        else:
+        if not -math.inf < slope < 0.0:
             status = STATUS_STALLED
             break
 
+        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v,
+                             min(accepted + 1, max_rows), max_rows)
+        if found is None:
+            status = STATUS_STALLED
+            break
+
+        accepted, trial, r, phi_trial = found
         if trace is not None:
-            trace.append((k, phi_v, float(np.linalg.norm(g)), t))
-        v = trial
-        rn = residual_norm(problem, v)
+            trace.append((k, phi_v, float(np.linalg.norm(g)), ladder[accepted]))
+        v, phi_v, rn = trial, phi_trial, norm_of_residual(problem, r)
         k += 1
 
     return DescentResult(

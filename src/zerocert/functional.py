@@ -10,10 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .problems import FD_STEP_SCALE, ResidualProblem, eval_jacobian, eval_residual
+from .problems import (
+    FD_STEP_SCALE,
+    ResidualProblem,
+    block_rows,
+    eval_jacobian,
+    eval_residual,
+    residual_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -34,13 +42,38 @@ def _weights(problem: ResidualProblem) -> np.ndarray | float:
     return 1.0 if problem.weights is None else problem.weights
 
 
-def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
+def _compensated_sum(terms) -> float:
     # compensated summation: plain accumulation noise on stiff problems is
     # large enough to corrupt finite differences of phi
     try:
-        return math.fsum(_weights(problem) * r * r)
+        return math.fsum(terms)
     except OverflowError:  # finite terms whose sum overflows
         return math.inf
+
+
+def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
+    return _compensated_sum(_weights(problem) * r * r)
+
+
+def norm_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
+    """The codomain norm of a residual vector r, as :func:`residual_norm` reports it."""
+    square_sum = _weighted_square_sum(problem, r)
+    if square_sum == math.inf and np.isfinite(r).all():
+        s = float(np.max(np.abs(r)))
+        return s * math.sqrt(_weighted_square_sum(problem, r / s))
+    return math.sqrt(square_sum)
+
+
+def phi_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
+    """||r||^2 / 2 for a residual vector r, as :func:`phi` reports it."""
+    return 0.5 * _weighted_square_sum(problem, r)
+
+
+def phi_rows(problem: ResidualProblem, R: np.ndarray) -> Iterator[float]:
+    """phi of each row of the residual array R, in row order and computed only
+    when asked for, each equal to :func:`phi_of_residual` of that row."""
+    for terms in _weights(problem) * R * R:
+        yield 0.5 * _compensated_sum(terms.tolist())
 
 
 def residual_norm(problem: ResidualProblem, v) -> float:
@@ -50,17 +83,12 @@ def residual_norm(problem: ResidualProblem, v) -> float:
     norm is computed as s*||F(v)/s|| with s = max|F_i|, so it stays finite
     while it is representable.
     """
-    r = eval_residual(problem, v)
-    square_sum = _weighted_square_sum(problem, r)
-    if square_sum == math.inf and np.isfinite(r).all():
-        s = float(np.max(np.abs(r)))
-        return s * math.sqrt(_weighted_square_sum(problem, r / s))
-    return math.sqrt(square_sum)
+    return norm_of_residual(problem, eval_residual(problem, v))
 
 
 def phi(problem: ResidualProblem, v) -> float:
     """Value of the least-squares functional ||F(v)||^2 / 2."""
-    return 0.5 * _weighted_square_sum(problem, eval_residual(problem, v))
+    return phi_of_residual(problem, eval_residual(problem, v))
 
 
 def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
@@ -70,12 +98,12 @@ def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
     return jac.T @ (_weights(problem) * r)
 
 
-def _phi_reference(problem: ResidualProblem, v_ext: np.ndarray) -> np.longdouble:
-    # reference value for differencing, accumulated in extended precision;
+def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> list[np.longdouble]:
+    # reference values for differencing, accumulated in extended precision;
     # built-in residuals propagate the wider dtype, others degrade gracefully
-    r = np.asarray(problem.residual(v_ext))
-    terms = _weights(problem) * r * r
-    return np.longdouble(0.5) * np.sum(terms, dtype=np.longdouble)
+    R = residual_rows(problem, V_ext)
+    terms = _weights(problem) * R * R
+    return [np.longdouble(0.5) * np.sum(row, dtype=np.longdouble) for row in terms]
 
 
 def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
@@ -83,20 +111,26 @@ def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
 
     The reference differences are evaluated in extended precision: at large
     residual scales the difference quotient would otherwise be dominated by
-    the rounding of phi rather than by the gradient being checked.
+    the rounding of phi rather than by the gradient being checked.  The 2n
+    perturbed points go through :func:`residual_rows` in blocks of at most
+    :func:`block_rows` rows.
     """
     v = np.asarray(v, dtype=float)
     analytic = grad_phi(problem, v)
     v_ext = v.astype(np.longdouble)
+    h = FD_STEP_SCALE * (1.0 + np.abs(v))
     numeric = np.empty_like(analytic)
-    for i in range(problem.n):
-        h = FD_STEP_SCALE * (1.0 + abs(v[i]))
-        vp = v_ext.copy()
-        vm = v_ext.copy()
-        vp[i] += h
-        vm[i] -= h
-        diff = _phi_reference(problem, vp) - _phi_reference(problem, vm)
-        numeric[i] = float(diff / np.longdouble(2.0 * h))
+    points = max(1, block_rows(problem) // 2)
+    for start in range(0, problem.n, points):
+        idx = np.arange(start, min(start + points, problem.n))
+        k = len(idx)
+        # rows 0..k-1 step +h along idx, rows k..2k-1 step -h
+        V = np.tile(v_ext, (2 * k, 1))
+        V[np.arange(k), idx] += h[idx]
+        V[np.arange(k, 2 * k), idx] -= h[idx]
+        refs = _phi_references(problem, V)
+        for i, plus, minus in zip(idx, refs[:k], refs[k:]):
+            numeric[i] = float((plus - minus) / np.longdouble(2.0 * h[i]))
     err = float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric))))
     return GradientCheckReport(
         point=v,

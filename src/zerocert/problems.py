@@ -15,6 +15,7 @@ import numpy as np
 from .exceptions import InputShapeError, InvalidConfigurationError
 
 FD_STEP_SCALE = 1e-6  # per-coordinate central-difference step is FD_STEP_SCALE*(1+|v_i|)
+BLOCK_ELEMENTS = 1 << 13  # rows * n of one batched residual evaluation: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,11 @@ class ResidualProblem:
     ``vjp_batch`` is an optional batched form: ``vjp_batch(V, Y)`` returns
     the (k, n) array whose row i is DF(V[i])^T Y[i].  A problem that sets it
     promises that ``residual`` also maps a (k, n) array of points to the
-    (k, m) array of their residuals.  The sampled domination constant uses
-    both to screen all points at once; without ``vjp_batch`` every point
+    (k, m) array of their residuals, and that row i of ``residual(V)``
+    equals ``residual(V[i])`` bit for bit.  The sampled domination constant
+    uses both to screen all points at once; the descent line search and the
+    gradient check evaluate their points in blocks of rows through
+    ``residual`` (:func:`residual_rows`).  Without ``vjp_batch`` every point
     takes the per-point path.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
@@ -74,9 +78,11 @@ def _check_vector(problem: ResidualProblem, v) -> np.ndarray:
     return v
 
 
-def checked_output(problem: ResidualProblem, hook: str, out, shape: tuple) -> np.ndarray:
-    """``out`` as a float array; InputShapeError when the ``hook`` returned another shape."""
-    out = np.asarray(out, dtype=float)
+def checked_output(problem: ResidualProblem, hook: str, out, shape: tuple,
+                   dtype=float) -> np.ndarray:
+    """``out`` as an array of ``dtype`` (None keeps its own); InputShapeError when the
+    ``hook`` returned another shape."""
+    out = np.asarray(out, dtype=dtype)
     if out.shape != shape:
         raise InputShapeError(
             f"{hook} of {problem.name!r} returned shape {out.shape}, expected {shape}"
@@ -88,6 +94,25 @@ def eval_residual(problem: ResidualProblem, v) -> np.ndarray:
     """Evaluate F(v) as a length-m vector."""
     v = _check_vector(problem, v)
     return checked_output(problem, "residual", problem.residual(v), (problem.m,))
+
+
+def block_rows(problem: ResidualProblem) -> int:
+    """How many points one :func:`residual_rows` call should take: 1 without ``vjp_batch``."""
+    return max(1, BLOCK_ELEMENTS // problem.n) if problem.vjp_batch is not None else 1
+
+
+def residual_rows(problem: ResidualProblem, V: np.ndarray) -> np.ndarray:
+    """F at each row of the (k, n) array V, as a (k, m) array in the dtype F returns.
+
+    A problem with ``vjp_batch`` evaluates V in one call, which its batch
+    promise makes bit-identical to one call per row; any other problem is
+    called once per row, with a length-n point.  The dtype is kept, so an
+    extended-precision V stays extended where F propagates it.
+    """
+    if problem.vjp_batch is not None:
+        return checked_output(problem, "residual", problem.residual(V), (len(V), problem.m), None)
+    return np.array([checked_output(problem, "residual", problem.residual(v), (problem.m,), None)
+                     for v in V])
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:

@@ -3,8 +3,9 @@
 The screen in ``domination_constant_sampled`` may only narrow the points
 the per-point loop visits, never change the constant it returns, so every
 estimate here is compared exactly with the same call on a copy of the
-problem whose hooks are removed.  ``newton_solve`` is compared with a dense
-solve of the analytic Jacobian.
+problem whose hooks are removed.  The same holds for descent, whose line
+search evaluates its ladder of steps in blocks, and for the gradient check.
+``newton_solve`` is compared with a dense solve of the analytic Jacobian.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import pytest
 
 from zerocert import (
     Ball,
+    DescentConfig,
     InputShapeError,
     ResidualProblem,
     SamplingConfig,
@@ -28,8 +30,10 @@ from zerocert import (
     make_quadratic,
     recover_problem_independent,
     scale,
+    solve,
 )
 from zerocert import certificate
+from zerocert.functional import check_gradient
 
 SIN_CENTER = {n: np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in (4, 10)}
 
@@ -163,6 +167,78 @@ def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
     c = domination_constant_sampled(user, Ball(np.array([2.0]), 0.5), samples_per_axis=101)
     assert c == pytest.approx(2.7)
     assert len(calls) == 101
+
+
+def counting(problem, calls):
+    """``problem`` whose residual appends the number of points of each call to ``calls``."""
+    def residual(V):
+        calls.append(len(V) if np.ndim(V) == 2 else 1)
+        return problem.residual(V)
+    return dataclasses.replace(problem, residual=residual)
+
+
+def sequential_residual_count(problem, result, cfg):
+    """Residual calls of a one-trial-at-a-time ladder under clip_to_ball, counted from the trace.
+
+    One call at the centre; per iteration one for the gradient, one for the
+    Gauss-Newton direction, and one per trial down to the accepted step; a
+    stall evaluates the whole ladder.
+    """
+    ladder = [cfg.initial_step]
+    while ladder[-1] * cfg.backtrack_factor >= 1e-16:
+        ladder.append(ladder[-1] * cfg.backtrack_factor)
+    per_iteration = 1 + (cfg.direction == "gauss_newton")
+    count = 1 + sum(per_iteration + ladder.index(row[3]) + 1 for row in result.trace)
+    if result.status == "stalled":
+        count += per_iteration + len(ladder)
+    return count
+
+
+DESCENT_BALLS = (0.5, 3.0)  # radii around 0.3 * ones: the sphere stops descent, and a zero inside
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("policy", ["clip_to_ball", "reject_outside"])
+@pytest.mark.parametrize("direction", ["steepest", "gauss_newton"])
+def test_block_line_search_matches_the_sequential_ladder(name, policy, direction):
+    p = HOOKED[name]
+    cfg = DescentConfig(ball_policy=policy, direction=direction, max_iterations=60)
+    for radius in DESCENT_BALLS:
+        ball = Ball(np.full(p.n, 0.3), radius)
+        calls = []
+        with np.errstate(all="ignore"):
+            blocks = solve(p, ball, cfg, record_trace=True)
+            looped = solve(counting(per_point(p), calls), ball, cfg, record_trace=True)
+        assert blocks.u.tobytes() == looped.u.tobytes()
+        assert (blocks.status, blocks.iterations, blocks.residual_norm) == (
+            looped.status, looped.iterations, looped.residual_norm)
+        assert blocks.trace == looped.trace
+        assert set(calls) == {1}
+        if policy == "clip_to_ball":
+            assert len(calls) == sequential_residual_count(p, looped, cfg)
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
+def test_gradient_check_in_blocks_matches_the_per_point_check(name):
+    p = HOOKED[name]
+    for x in (np.full(p.n, 0.3), np.linspace(-2.0, 2.0, p.n)):
+        blocks = check_gradient(p, x)
+        looped = check_gradient(per_point(p), x)
+        assert blocks.numeric_gradient.tobytes() == looped.numeric_gradient.tobytes()
+        assert blocks.max_relative_error == looped.max_relative_error
+
+
+def test_line_search_and_gradient_check_bound_their_blocks():
+    # n = 1024: 8 rows per batched residual call, so the gradient check
+    # holds 8 x 1024 extended-precision entries at a time, not 2n x n
+    p = make_bvp(1024, 1.0, "manufactured_sin")
+    calls = []
+    counted = counting(p, calls)
+    check_gradient(counted, np.zeros(1024))
+    assert max(calls) == 8 and sum(calls) == 1 + 2 * 1024
+    calls.clear()
+    solve(counted, Ball(np.zeros(1024), 0.5), DescentConfig(max_iterations=3))
+    assert max(calls) <= 8
 
 
 NEWTON = {

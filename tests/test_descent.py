@@ -213,3 +213,15 @@ def test_result_serializes():
     assert d["status"] == "converged"
     assert d["in_ball"] is True
     assert isinstance(d["u"], list)
+
+
+def test_zero_slope_stalls_without_evaluating_a_trial():
+    # F = -1 everywhere: grad phi = 0, so no trial can pass the Armijo test;
+    # the ladder used to evaluate phi 55 times at the centre before stalling
+    calls = []
+    q = make_quadratic(0.0)
+    counted = dataclasses.replace(q, residual=lambda v: calls.append(1) or q.residual(v))
+    result = solve(counted, Ball(np.array([1.0]), 2.0), record_trace=True)
+    assert (result.status, result.iterations, result.residual_norm) == ("stalled", 0, 1.0)
+    assert result.u.tolist() == [1.0] and result.trace == ()
+    assert len(calls) <= 2
