@@ -151,8 +151,8 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
                 V = trials[kept]
                 R = np.asarray(residual_rows(problem, V), dtype=float)
                 for row, (i, phi_trial) in enumerate(zip(kept, phi_rows(problem, R))):
-                    t = steps[i]
-                    if phi_trial < phi_v and phi_trial <= phi_v + cfg.sufficient_decrease * t * slope:
+                    bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
+                    if phi_trial < phi_v and phi_trial <= bound:
                         return j + int(i), V[row], R[row], phi_trial
         j += len(steps)
         size = min(2 * size, max_rows)

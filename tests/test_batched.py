@@ -177,7 +177,7 @@ def counting(problem, calls):
     return dataclasses.replace(problem, residual=residual)
 
 
-def sequential_residual_count(problem, result, cfg):
+def sequential_residual_count(result, cfg):
     """Residual calls of a one-trial-at-a-time ladder under clip_to_ball, counted from the trace.
 
     One call at the centre; per iteration one for the gradient, one for the
@@ -215,7 +215,7 @@ def test_block_line_search_matches_the_sequential_ladder(name, policy, direction
         assert blocks.trace == looped.trace
         assert set(calls) == {1}
         if policy == "clip_to_ball":
-            assert len(calls) == sequential_residual_count(p, looped, cfg)
+            assert len(calls) == sequential_residual_count(looped, cfg)
 
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
