@@ -28,7 +28,8 @@ CASES = {
     "readme_solve": ("solve", "readme.json", "trace"),
     "bvp16_gauss_newton_solve": ("solve", "bvp16_gauss_newton.json", "trace"),
     "bvp_weighted_geometric_search": ("search", "bvp_weighted_geometric.json", "sweep"),
-    # steepest descent on a ball without a zero: clipped trials on the sphere until it stalls
+    # descent on balls without a zero: steepest with clipped trials on the sphere, and
+    # reject_outside, each until it stalls
     "bvp16_steepest_clip_solve": ("solve", "bvp16_steepest_clip.json", "trace"),
     "quadratic_reject_solve": ("solve", "quadratic_reject.json", "trace"),
 }
