@@ -118,14 +118,16 @@ def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarr
 
 def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: list,
                  v: np.ndarray, d: np.ndarray, slope: float, phi_v: float,
-                 size: int, max_rows: int) -> tuple | None:
+                 size: int) -> tuple | None:
     """The first ladder entry whose trial passes, as (index, trial, F(trial), phi(trial)).
 
-    The ladder is searched in blocks of ``size`` entries, each block twice as
-    long as the one before and at most ``max_rows`` long; ``ladder`` grows
-    by the same repeated multiplication until an entry falls below
+    The ladder is searched in blocks, the first of ``size`` entries, each
+    later one twice as long, none longer than :func:`block_rows`; ``ladder``
+    grows by the same repeated multiplication until an entry falls below
     STEP_UNDERFLOW.  None when no entry above it passes.
     """
+    max_rows = block_rows(problem)
+    size = min(size, max_rows)
     j = 0
     while True:
         while len(ladder) < j + size and ladder[-1] >= STEP_UNDERFLOW:
@@ -189,7 +191,6 @@ def solve(
     v = ball.center.astype(float)
     trace: list[tuple] | None = [] if record_trace else None
     ladder = [cfg.initial_step]
-    max_rows = block_rows(problem)
     accepted = 0  # the ladder index of the last accepted step
 
     k = 0
@@ -211,8 +212,7 @@ def solve(
             status = STATUS_STALLED
             break
 
-        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v,
-                             min(accepted + 1, max_rows), max_rows)
+        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, accepted + 1)
         if found is None:
             status = STATUS_STALLED
             break
