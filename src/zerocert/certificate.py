@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
-from .functional import _weights, grad_phi, residual_norm
-from .problems import ResidualProblem, checked_output
+from .functional import _weights, grad_of_residual, norm_of_residual, residual_norm
+from .problems import ResidualProblem, block_rows, checked_output, eval_residual, residual_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
 
 SAMPLE_CAP = 10**6  # hard cap on sampled points in every dimension
-SCREEN_CHUNK = 4096  # rows per batched evaluation: bounds the screen's temporaries
 
 # Relative margin of the batched screen.  Batched norms and ratios are summed
 # in another order than the per-point path's, so they differ from it in the
@@ -224,7 +223,7 @@ def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, 
 
 
 def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.ndarray | slice:
-    """The points that can attain the sampled infimum, found in batches of points.
+    """The points that can attain the sampled infimum, found in blocks of :func:`block_rows`.
 
     Keeps points clearly above the residual floor whose batched ratio is
     within SCREEN_MARGIN of the least such ratio, and points within
@@ -235,11 +234,12 @@ def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.nd
     w = _weights(problem)
     rn = np.empty(len(points))
     ratio = np.empty(len(points))
+    size = block_rows(problem)
     with np.errstate(all="ignore"):
-        for start in range(0, len(points), SCREEN_CHUNK):
-            rows = slice(start, start + SCREEN_CHUNK)
+        for start in range(0, len(points), size):
+            rows = slice(start, start + size)
             V = points[rows]
-            R = checked_output(problem, "residual", problem.residual(V), (len(V), problem.m))
+            R = np.asarray(residual_rows(problem, V), dtype=float)
             G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, w * R),
                                (len(V), problem.n))
             rn[rows] = np.sqrt(np.sum(w * R * R, axis=1))
@@ -270,29 +270,40 @@ def domination_constant_sampled(
     dimensions a deterministic low-discrepancy sequence in the ball.  Returns 0
     when every sampled point sits at the floor (the infimum is undetermined)
     or when any sampled residual norm or ratio is NaN or infinite; both
-    yield a conservative certificate.
-
-    A problem with a ``vjp_batch`` has its points screened first
-    (:func:`_screen`); only the candidates go through the per-point loop,
-    which gives the same value as running it on every point.
+    yield a conservative certificate.  A ball of another dimension than the
+    problem's raises InputShapeError (:func:`check_dimension`).
     """
+    check_dimension(problem, ball)
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
     points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
+    return _sampled_infimum(problem, points, cfg)
+
+
+def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig) -> float:
+    """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings.
+
+    With a ``vjp_batch`` only the points :func:`_screen` keeps take the
+    per-point loop, which gives the same value as running it on all of them."""
     if problem.vjp_batch is not None:
         points = points[_screen(problem, points, cfg.residual_floor)]
     best = np.inf
     for v in points:
-        rn = residual_norm(problem, v)
+        r = eval_residual(problem, v)
+        rn = norm_of_residual(problem, r)
         if rn <= cfg.residual_floor:
             continue
-        ratio = float(np.linalg.norm(grad_phi(problem, v))) / rn
+        ratio = float(np.linalg.norm(grad_of_residual(problem, v, r))) / rn
         if not math.isfinite(ratio):
             return 0.0
         if ratio < best:
             best = ratio
-    if not np.isfinite(best):
-        return 0.0
-    return cfg.safety * best
+    return cfg.safety * best if math.isfinite(best) else 0.0
+
+
+def check_dimension(problem: ResidualProblem, ball: Ball) -> None:
+    """Raise InputShapeError unless the ball lies in the problem's domain R^n."""
+    if ball.n != problem.n:
+        raise InputShapeError(f"ball center has dimension {ball.n}, problem expects {problem.n}")
 
 
 def check_method(problem: ResidualProblem, method: str) -> None:
@@ -322,15 +333,10 @@ def certify(
     :meth:`Certificate.judge`: ties lhs == rhs pass, a NaN or infinite lhs
     or c fails.
     """
-    if ball.n != problem.n:
-        raise InputShapeError(
-            f"ball center has dimension {ball.n}, problem expects {problem.n}"
-        )
+    check_dimension(problem, ball)
     check_method(problem, method)
     if method == METHOD_CLOSED_FORM:
-        c = quadratic_domination_constant(
-            problem.params["lambda"], ball.center[0], ball.radius
-        )
+        c = quadratic_domination_constant(problem.params["lambda"], ball.center[0], ball.radius)
         count = 0
     else:
         cfg = sampling or SamplingConfig()

@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
-from .functional import grad_phi, norm_of_residual, phi_of_residual, phi_rows, residual_norm
+from .functional import grad_of_residual, norm_of_residual, phi_of_residual, phi_rows, residual_norm
 from .problems import (
     ResidualProblem,
     block_rows,
@@ -95,8 +95,7 @@ class DescentResult:
     trace: tuple | None = None
 
 
-def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray) -> np.ndarray | None:
-    f = eval_residual(problem, v)
+def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray, f: np.ndarray) -> np.ndarray | None:
     if problem.newton_solve is not None:
         # J is square and nonsingular: the weighted least-squares step is the Newton step
         if not np.isfinite(f).all():
@@ -185,7 +184,7 @@ def solve(
     first passing trial in ladder order is the one the sequential search
     accepts, so the iterates are bit-identical to it.  Any other problem
     evaluates one trial at a time.  The accepted trial's residual gives the
-    next iterate's norm and phi.
+    next iterate's norm, phi, gradient and Gauss-Newton step.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
@@ -203,8 +202,8 @@ def solve(
             status = STATUS_MAX_ITERATIONS
             break
 
-        g = grad_phi(problem, v)
-        d = _gauss_newton_direction(problem, v) if cfg.direction == "gauss_newton" else None
+        g = grad_of_residual(problem, v, r)
+        d = _gauss_newton_direction(problem, v, r) if cfg.direction == "gauss_newton" else None
         if d is None or float(g @ d) >= 0.0:
             d = -g
         slope = float(g @ d)

@@ -91,11 +91,14 @@ def phi(problem: ResidualProblem, v) -> float:
     return phi_of_residual(problem, eval_residual(problem, v))
 
 
+def grad_of_residual(problem: ResidualProblem, v, r: np.ndarray) -> np.ndarray:
+    """Gradient of phi at v for its residual vector r = F(v), as :func:`grad_phi` reports it."""
+    return eval_jacobian(problem, v).T @ (_weights(problem) * r)
+
+
 def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
     """Gradient of phi at v, computed as DF(v)^T (w * F(v))."""
-    r = eval_residual(problem, v)
-    jac = eval_jacobian(problem, v)
-    return jac.T @ (_weights(problem) * r)
+    return grad_of_residual(problem, v, eval_residual(problem, v))
 
 
 def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> list[np.longdouble]:

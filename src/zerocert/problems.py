@@ -34,10 +34,10 @@ class ResidualProblem:
     promises that ``residual`` also maps a (k, n) array of points to the
     (k, m) array of their residuals, and that row i of ``residual(V)``
     equals ``residual(V[i])`` bit for bit.  The sampled domination constant
-    uses both to screen all points at once; the descent line search and the
-    gradient check evaluate their points in blocks of rows through
-    ``residual`` (:func:`residual_rows`).  Without ``vjp_batch`` every point
-    takes the per-point path.
+    uses both to screen its points in blocks; the descent line search and the
+    gradient check evaluate theirs in blocks too.  Every block is one
+    :func:`residual_rows` call of :func:`block_rows` rows at most.  Without
+    ``vjp_batch`` every point takes the per-point path.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
     returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem

@@ -28,11 +28,14 @@ from .certificate import (
     Ball,
     Certificate,
     SamplingConfig,
-    certify,
+    _sample_points,
+    _sampled_infimum,
+    check_dimension,
     check_method,
     quadratic_domination_constant,
 )
-from .exceptions import InputShapeError, InvalidConfigurationError
+from .exceptions import InvalidConfigurationError
+from .functional import residual_norm
 from .problems import ResidualProblem, eval_jacobian
 
 CUBIC_INVERSE_TOL = 1e-14
@@ -332,7 +335,7 @@ def search_mu(
     For each grid mu the problem is rewritten as G = F o B^-1 with
     B(v) = mu*v and certified on the given ball.  Quadratic problems under
     the closed-form method use :func:`transformed_certificate_quadratic`;
-    otherwise the sampled constant is re-estimated on each G directly.  The
+    otherwise the ball is sampled once for every G's sampled constant.  The
     best entry maximizes slack among passing entries (ties: least distortion
     |mu - 1|, then smaller mu); when nothing passes the same ordering is
     applied to all entries.
@@ -340,22 +343,22 @@ def search_mu(
     if method is None:
         method = METHOD_CLOSED_FORM if problem.is_quadratic else METHOD_SAMPLED
     check_method(problem, method)
-    if ball.n != problem.n:
-        raise InputShapeError(
-            f"ball center has dimension {ball.n}, problem expects {problem.n}"
-        )
+    check_dimension(problem, ball)
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
+    if method == METHOD_SAMPLED:
+        cfg = sampling or SamplingConfig()
+        points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
 
     entries: list[tuple[float, Certificate]] = []
-    for mu in grid:
-        mu = float(mu)
+    for mu in grid.tolist():
         if method == METHOD_CLOSED_FORM:
             cert = transformed_certificate_quadratic(
                 problem.params["lambda"], mu, ball.center[0], ball.radius
             )
         else:
             g = recover_problem_independent(scale(mu), problem)
-            cert = certify(g, ball, METHOD_SAMPLED, sampling)
+            cert = Certificate.judge(ball, _sampled_infimum(g, points, cfg),
+                                     residual_norm(g, ball.center), METHOD_SAMPLED, len(points))
         entries.append((mu, cert))
 
     passing = [(mu, cert) for mu, cert in entries if cert.passed]

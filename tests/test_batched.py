@@ -9,6 +9,7 @@ search evaluates its ladder of steps in blocks, and for the gradient check.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,11 +31,13 @@ from zerocert import (
     make_quadratic,
     recover_problem_independent,
     scale,
+    search_mu,
     solve,
 )
-from zerocert import certificate
+from zerocert import certificate, cli
 from zerocert.functional import check_gradient
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SIN_CENTER = {n: np.sin(np.pi * np.arange(1, n + 1) / (n + 1)) for n in (4, 10)}
 
 
@@ -146,8 +149,9 @@ def test_sampled_certify_recomputes_only_the_candidates(monkeypatch):
     # 65 536 points; the per-point loop over all of them takes seconds, the
     # screen leaves one or two candidates
     calls = []
-    original = certificate.grad_phi
-    monkeypatch.setattr(certificate, "grad_phi", lambda p, v: calls.append(1) or original(p, v))
+    original = certificate.grad_of_residual
+    monkeypatch.setattr(certificate, "grad_of_residual",
+                        lambda p, v, r: calls.append(1) or original(p, v, r))
     p = make_bvp(16, 1.0, "manufactured_sin")
     cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
     assert cert.sample_count == 65536
@@ -157,8 +161,9 @@ def test_sampled_certify_recomputes_only_the_candidates(monkeypatch):
 
 def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
     calls = []
-    original = certificate.grad_phi
-    monkeypatch.setattr(certificate, "grad_phi", lambda p, v: calls.append(1) or original(p, v))
+    original = certificate.grad_of_residual
+    monkeypatch.setattr(certificate, "grad_of_residual",
+                        lambda p, v, r: calls.append(1) or original(p, v, r))
     user = ResidualProblem(
         name="user", n=1, m=1,
         residual=lambda v: np.array([v[0] ** 2 - 1.0]),
@@ -180,17 +185,16 @@ def counting(problem, calls):
 def sequential_residual_count(result, cfg):
     """Residual calls of a one-trial-at-a-time ladder under clip_to_ball, counted from the trace.
 
-    One call at the centre; per iteration one for the gradient, one for the
-    Gauss-Newton direction, and one per trial down to the accepted step; a
-    stall evaluates the whole ladder.
+    One call at the centre, and per iteration one per trial down to the
+    accepted step, whose residual the gradient and the Gauss-Newton direction
+    reuse; a stall evaluates the whole ladder.
     """
     ladder = [cfg.initial_step]
     while ladder[-1] * cfg.backtrack_factor >= 1e-16:
         ladder.append(ladder[-1] * cfg.backtrack_factor)
-    per_iteration = 1 + (cfg.direction == "gauss_newton")
-    count = 1 + sum(per_iteration + ladder.index(row[3]) + 1 for row in result.trace)
+    count = 1 + sum(ladder.index(row[3]) + 1 for row in result.trace)
     if result.status == "stalled":
-        count += per_iteration + len(ladder)
+        count += len(ladder)
     return count
 
 
@@ -239,6 +243,55 @@ def test_line_search_and_gradient_check_bound_their_blocks():
     calls.clear()
     solve(counted, Ball(np.zeros(1024), 0.5), DescentConfig(max_iterations=3))
     assert max(calls) <= 8
+
+
+def test_screen_bounds_its_blocks():
+    # n = 16: 512 rows per batched residual call, 128 calls for 65 536 points
+    calls = []
+    counted = counting(make_bvp(16, 1.0, "manufactured_sin"), calls)
+    domination_constant_sampled(counted, Ball(np.zeros(16), 0.5), samples_per_axis=2)
+    assert max(calls) == 512 and calls.count(512) == 128
+
+
+def golden_case(config):
+    """The config of a golden case with its problem and ball, built as the CLI builds them."""
+    cfg = cli.load_config(GOLDEN / config)
+    problem = cli.build_problem(cfg)
+    return cfg, problem, cli.build_ball(cfg, problem)
+
+
+@pytest.mark.parametrize("config, residual_calls, jacobian_calls", [
+    ("bvp16_steepest_clip.json", 412, 284),  # 283 iterations, then a stall
+    ("bvp16_gauss_newton.json", 5, 4),  # 4 iterations
+])
+def test_descent_evaluates_f_once_per_iterate(config, residual_calls, jacobian_calls):
+    # the gradient and the Gauss-Newton step reuse the residual of the accepted trial;
+    # evaluating F again at each iterate made 696 and 13 residual calls
+    cfg, problem, ball = golden_case(config)
+    calls, jacobians = [], []
+    counted = dataclasses.replace(counting(problem, calls),
+                                  jacobian=lambda v: jacobians.append(1) or problem.jacobian(v))
+    solve(counted, ball, cli.build_descent_config(cfg))
+    assert (len(calls), len(jacobians)) == (residual_calls, jacobian_calls)
+
+
+def test_sampled_sweep_draws_its_points_once(monkeypatch):
+    # every mu is judged on the same points, as certify on its recovered problem judges it;
+    # drawing them for every mu called sample_ball 6 times
+    calls = []
+    original = certificate.sample_ball
+    monkeypatch.setattr(certificate, "sample_ball",
+                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
+    cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
+    method, sampling = cli.build_certificate_settings(cfg, problem, cfg["seed"])
+    found = search_mu(problem, ball, method=method, sampling=sampling,
+                      **cli.build_transform_settings(cfg, True))
+    assert len(calls) == 1
+    assert len(found.sweep) == 6
+    for point in found.sweep:
+        cert = certify(recover_problem_independent(scale(point.mu), problem), ball, method, sampling)
+        assert (point.c, point.lhs, point.rhs, point.passed) == (cert.c, cert.lhs, cert.rhs,
+                                                                 cert.passed)
 
 
 NEWTON = {

@@ -5,6 +5,7 @@ import pytest
 
 from zerocert import (
     Ball,
+    InputShapeError,
     InvalidConfigurationError,
     ResidualProblem,
     SamplingConfig,
@@ -15,6 +16,7 @@ from zerocert import (
     quadratic_domination_constant,
     report,
     sample_ball,
+    search_mu,
     transformed_certificate_quadratic,
 )
 
@@ -137,6 +139,22 @@ def test_certify_rejects_closed_form_on_non_quadratic():
         certify(p, Ball(np.zeros(8), 1.0), "closed_form_quadratic")
     with pytest.raises(InvalidConfigurationError):
         certify(p, Ball(np.zeros(8), 1.0), "newton")
+
+
+@pytest.mark.parametrize("problem, ball", [
+    # the sampled constant used to sample the first coordinate alone and return 2.7
+    (make_quadratic(1.0), Ball([2.0, 5.0], 0.5)),
+    # and to fail inside numpy with a broadcasting ValueError
+    (make_bvp(4, 1.0), Ball(np.zeros(3), 0.5)),
+], ids=["quadratic-2d-ball", "bvp4-3d-ball"])
+def test_ball_of_another_dimension_is_rejected(problem, ball):
+    match = f"ball center has dimension {ball.n}, problem expects {problem.n}"
+    with pytest.raises(InputShapeError, match=match):
+        domination_constant_sampled(problem, ball, samples_per_axis=101)
+    with pytest.raises(InputShapeError, match=match):
+        certify(problem, ball)
+    with pytest.raises(InputShapeError, match=match):
+        search_mu(problem, ball, (0.5, 2.0), 3)
 
 
 def test_conflict_between_constant_and_radius():
