@@ -27,6 +27,8 @@ CASES = {
     "readme_search": ("search", "readme.json", "sweep"),
     "readme_solve": ("solve", "readme.json", "trace"),
     "bvp16_gauss_newton_solve": ("solve", "bvp16_gauss_newton.json", "trace"),
+    # the one case with more than 16 unknowns
+    "bvp64_gauss_newton_solve": ("solve", "bvp64_gauss_newton.json", "trace"),
     "bvp_weighted_geometric_search": ("search", "bvp_weighted_geometric.json", "sweep"),
     # descent on balls without a zero: steepest with clipped trials on the sphere, and
     # reject_outside, each until it stalls
