@@ -23,18 +23,25 @@ from .problems import (
     residual_rows,
 )
 
+CHECK_DIRECTIONS = 16  # check_gradient differentiates phi along at most this many directions
+
 
 @dataclass(frozen=True)
 class GradientCheckReport:
     """Comparison of the analytic gradient against central differences of phi.
 
-    ``max_relative_error`` is max_i |a_i - g_i| / (1 + |g_i|) where a is the
-    analytic and g the numeric gradient.
+    ``directions`` is the (k, n) matrix D whose rows d_j the check
+    differentiates along: the identity when n <= CHECK_DIRECTIONS, else
+    CHECK_DIRECTIONS fixed +-1 vectors.  ``numeric_derivatives`` holds the k
+    difference quotients g_j, so it is the numeric gradient when D is the
+    identity.  ``max_relative_error`` is max_j |d_j . a - g_j| / (1 + |g_j|)
+    where a is the analytic gradient.
     """
 
     point: np.ndarray
+    directions: np.ndarray
     analytic_gradient: np.ndarray
-    numeric_gradient: np.ndarray
+    numeric_derivatives: np.ndarray
     max_relative_error: float
 
 
@@ -101,43 +108,55 @@ def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
     return grad_of_residual(problem, v, eval_residual(problem, v))
 
 
-def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> list[np.longdouble]:
+def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> np.ndarray:
     # reference values for differencing, accumulated in extended precision;
     # built-in residuals propagate the wider dtype, others degrade gracefully
     R = residual_rows(problem, V_ext)
-    terms = _weights(problem) * R * R
-    return [np.longdouble(0.5) * np.sum(row, dtype=np.longdouble) for row in terms]
+    return np.longdouble(0.5) * np.sum(_weights(problem) * R * R, axis=1, dtype=np.longdouble)
+
+
+def _check_directions(n: int) -> np.ndarray:
+    if n <= CHECK_DIRECTIONS:
+        return np.eye(n)
+    # a fixed seed: the directions depend on n alone, never on a run's seed
+    return np.random.default_rng(0).choice([-1.0, 1.0], size=(CHECK_DIRECTIONS, n))
 
 
 def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
-    """Validate grad_phi against central finite differences of phi.
+    """Validate grad_phi against central differences of phi along the rows d_j of D.
+
+    D is the identity when n <= CHECK_DIRECTIONS, so every coordinate is
+    checked; above that, it is CHECK_DIRECTIONS fixed +-1 vectors that depend
+    on n alone.  Row j is differenced with the step
+    h_j = FD_STEP_SCALE*(1 + max_i |D_ji v_i|), which is FD_STEP_SCALE*(1+|v_j|)
+    for the identity, and compared with d_j . grad_phi.  The check therefore
+    evaluates at most 2*CHECK_DIRECTIONS perturbed points, whatever n is.
 
     The reference differences are evaluated in extended precision: at large
     residual scales the difference quotient would otherwise be dominated by
-    the rounding of phi rather than by the gradient being checked.  The 2n
+    the rounding of phi rather than by the gradient being checked.  The
     perturbed points go through :func:`residual_rows` in blocks of at most
     :func:`block_rows` rows.
     """
     v = np.asarray(v, dtype=float)
     analytic = grad_phi(problem, v)
+    D = _check_directions(problem.n)
+    h = FD_STEP_SCALE * (1.0 + np.max(np.abs(D * v), axis=1))
     v_ext = v.astype(np.longdouble)
-    h = FD_STEP_SCALE * (1.0 + np.abs(v))
-    numeric = np.empty_like(analytic)
-    points = max(1, block_rows(problem) // 2)
-    for start in range(0, problem.n, points):
-        idx = np.arange(start, min(start + points, problem.n))
-        k = len(idx)
-        # rows 0..k-1 step +h along idx, rows k..2k-1 step -h
-        V = np.tile(v_ext, (2 * k, 1))
-        V[np.arange(k), idx] += h[idx]
-        V[np.arange(k, 2 * k), idx] -= h[idx]
-        refs = _phi_references(problem, V)
-        for i, plus, minus in zip(idx, refs[:k], refs[k:]):
-            numeric[i] = float((plus - minus) / np.longdouble(2.0 * h[i]))
-    err = float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric))))
+    numeric = np.empty(len(D))
+    per_block = max(1, block_rows(problem) // 2)
+    for start in range(0, len(D), per_block):
+        block = slice(start, start + per_block)
+        # rows 0..k-1 step +h_j d_j, rows k..2k-1 step -h_j d_j
+        steps = h[block, None] * D[block]
+        refs = _phi_references(problem, np.concatenate([v_ext + steps, v_ext - steps]))
+        k = len(steps)
+        numeric[block] = (refs[:k] - refs[k:]) / (2.0 * h[block]).astype(np.longdouble)
+    err = float(np.max(np.abs(D @ analytic - numeric) / (1.0 + np.abs(numeric))))
     return GradientCheckReport(
         point=v,
+        directions=D,
         analytic_gradient=analytic,
-        numeric_gradient=numeric,
+        numeric_derivatives=numeric,
         max_relative_error=err,
     )

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from test_batched import HOOKED
 
 from zerocert import (
     InputShapeError,
@@ -12,6 +15,7 @@ from zerocert import (
     phi,
     residual_norm,
 )
+from zerocert.problems import FD_STEP_SCALE, block_rows, residual_rows
 
 
 def test_phi_values():
@@ -96,3 +100,88 @@ def test_residual_norm_survives_an_overflowing_square():
 def test_residual_norm_of_a_non_finite_residual_stays_non_finite():
     with np.errstate(all="ignore"):
         assert residual_norm(make_bvp(4, 1.0), np.full(4, 1e110)) == np.inf
+
+
+def coordinate_check(problem, v):
+    """The numeric gradient and the error of the check as it ran before it took
+    directions: central differences along every coordinate, 2n points."""
+    v = np.asarray(v, dtype=float)
+    analytic = grad_phi(problem, v)
+    weights = 1.0 if problem.weights is None else problem.weights
+    v_ext = v.astype(np.longdouble)
+    h = FD_STEP_SCALE * (1.0 + np.abs(v))
+    numeric = np.empty_like(analytic)
+    points = max(1, block_rows(problem) // 2)
+    for start in range(0, problem.n, points):
+        idx = np.arange(start, min(start + points, problem.n))
+        k = len(idx)
+        V = np.tile(v_ext, (2 * k, 1))
+        V[np.arange(k), idx] += h[idx]
+        V[np.arange(k, 2 * k), idx] -= h[idx]
+        R = residual_rows(problem, V)
+        refs = [np.longdouble(0.5) * np.sum(row, dtype=np.longdouble) for row in weights * R * R]
+        for i, plus, minus in zip(idx, refs[:k], refs[k:]):
+            numeric[i] = float((plus - minus) / np.longdouble(2.0 * h[i]))
+    err = float(np.max(np.abs(analytic - numeric) / (1.0 + np.abs(numeric))))
+    return numeric, err
+
+
+def check_points(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return [np.zeros(n), np.full(n, 0.3), np.linspace(-2.0, 2.0, n),
+            *rng.uniform(-1.0, 1.0, size=(count, n))]
+
+
+SMALL = {
+    **HOOKED,
+    **{f"bvp16{'-weighted' if w else ''}": make_bvp(16, 1.0, "manufactured_sin", w)
+       for w in (False, True)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL))
+def test_check_up_to_16_unknowns_is_the_coordinate_check_bit_for_bit(name):
+    p = SMALL[name]
+    for v in check_points(p.n, 3, seed=5):
+        rep = check_gradient(p, v)
+        numeric, err = coordinate_check(p, v)
+        assert rep.directions.tobytes() == np.eye(p.n).tobytes()
+        assert rep.numeric_derivatives.tobytes() == numeric.tobytes()
+        assert rep.max_relative_error == err
+
+
+@pytest.mark.parametrize("n", [64, 384])
+def test_check_above_16_unknowns_differentiates_along_16_fixed_signs(n):
+    p = make_bvp(n, 1.0, "manufactured_sin")
+    # points where the coordinate differences themselves hold to 1e-6; near
+    # np.linspace(-2, 2, n) at n = 384 they are off by 7e-4
+    rng = np.random.default_rng(6)
+    for v in (np.zeros(n), *rng.uniform(-1.0, 1.0, size=(3, n))):
+        rep = check_gradient(p, v)
+        assert rep.directions.shape == (16, n) and set(np.unique(rep.directions)) == {-1.0, 1.0}
+        numeric, _ = coordinate_check(p, v)
+        np.testing.assert_allclose(rep.numeric_derivatives, rep.directions @ numeric, rtol=1e-6)
+    # the directions are data of n alone: the same for every point and every call
+    assert rep.directions.tobytes() == check_gradient(p, np.ones(n)).directions.tobytes()
+
+
+def with_jacobian_error(problem, edit):
+    """``problem`` whose analytic Jacobian has one entry changed by ``edit(J)``."""
+    def jacobian(v):
+        J = problem.jacobian(v).copy()
+        edit(J)
+        return J
+    return dataclasses.replace(problem, jacobian=jacobian)
+
+
+@pytest.mark.parametrize("n", [64, 384])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_directional_check_passes_the_bvp_and_catches_one_wrong_entry(n, weighted):
+    p = make_bvp(n, 1.0, "manufactured_sin", quadrature_weights=weighted)
+    k = n // 2 + 3  # outside the first 16 coordinates
+    diagonal = with_jacobian_error(p, lambda J: J.__setitem__((k, k), J[k, k] * (1.0 + 1e-3)))
+    flipped = with_jacobian_error(p, lambda J: J.__setitem__((k, k + 1), -J[k, k + 1]))
+    for v in np.random.default_rng(17).uniform(-1.0, 1.0, size=(20, n)):
+        assert check_gradient(p, v).max_relative_error <= 1e-6
+        assert check_gradient(diagonal, v).max_relative_error > 1e-6
+        assert check_gradient(flipped, v).max_relative_error > 1e-6
