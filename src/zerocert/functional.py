@@ -115,13 +115,6 @@ def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> np.ndarray:
     return np.longdouble(0.5) * np.sum(_weights(problem) * R * R, axis=1, dtype=np.longdouble)
 
 
-def _check_directions(n: int) -> np.ndarray:
-    if n <= CHECK_DIRECTIONS:
-        return np.eye(n)
-    # a fixed seed: the directions depend on n alone, never on a run's seed
-    return np.random.default_rng(0).choice([-1.0, 1.0], size=(CHECK_DIRECTIONS, n))
-
-
 def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
     """Validate grad_phi against central differences of phi along the rows d_j of D.
 
@@ -140,7 +133,10 @@ def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
     """
     v = np.asarray(v, dtype=float)
     analytic = grad_phi(problem, v)
-    D = _check_directions(problem.n)
+    n = problem.n
+    # a fixed seed: the directions depend on n alone, never on a run's seed
+    D = np.eye(n) if n <= CHECK_DIRECTIONS else np.random.default_rng(0).choice(
+        [-1.0, 1.0], size=(CHECK_DIRECTIONS, n))
     h = FD_STEP_SCALE * (1.0 + np.max(np.abs(D * v), axis=1))
     v_ext = v.astype(np.longdouble)
     numeric = np.empty(len(D))

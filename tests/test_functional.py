@@ -103,8 +103,8 @@ def test_residual_norm_of_a_non_finite_residual_stays_non_finite():
 
 
 def coordinate_check(problem, v):
-    """The numeric gradient and the error of the check as it ran before it took
-    directions: central differences along every coordinate, 2n points."""
+    """The numeric gradient and the error of a check along every coordinate, with
+    2n points: the reference that check_gradient must equal when n <= 16."""
     v = np.asarray(v, dtype=float)
     analytic = grad_phi(problem, v)
     weights = 1.0 if problem.weights is None else problem.weights
@@ -126,12 +126,6 @@ def coordinate_check(problem, v):
     return numeric, err
 
 
-def check_points(n, count, seed):
-    rng = np.random.default_rng(seed)
-    return [np.zeros(n), np.full(n, 0.3), np.linspace(-2.0, 2.0, n),
-            *rng.uniform(-1.0, 1.0, size=(count, n))]
-
-
 SMALL = {
     **HOOKED,
     **{f"bvp16{'-weighted' if w else ''}": make_bvp(16, 1.0, "manufactured_sin", w)
@@ -142,7 +136,9 @@ SMALL = {
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_check_up_to_16_unknowns_is_the_coordinate_check_bit_for_bit(name):
     p = SMALL[name]
-    for v in check_points(p.n, 3, seed=5):
+    rng = np.random.default_rng(5)
+    for v in (np.zeros(p.n), np.full(p.n, 0.3), np.linspace(-2.0, 2.0, p.n),
+              *rng.uniform(-1.0, 1.0, size=(3, p.n))):
         rep = check_gradient(p, v)
         numeric, err = coordinate_check(p, v)
         assert rep.directions.tobytes() == np.eye(p.n).tobytes()
@@ -165,11 +161,11 @@ def test_check_above_16_unknowns_differentiates_along_16_fixed_signs(n):
     assert rep.directions.tobytes() == check_gradient(p, np.ones(n)).directions.tobytes()
 
 
-def with_jacobian_error(problem, edit):
-    """``problem`` whose analytic Jacobian has one entry changed by ``edit(J)``."""
+def with_jacobian_error(problem, entry, factor):
+    """``problem`` whose analytic Jacobian has its ``entry`` multiplied by ``factor``."""
     def jacobian(v):
         J = problem.jacobian(v).copy()
-        edit(J)
+        J[entry] *= factor
         return J
     return dataclasses.replace(problem, jacobian=jacobian)
 
@@ -179,8 +175,8 @@ def with_jacobian_error(problem, edit):
 def test_directional_check_passes_the_bvp_and_catches_one_wrong_entry(n, weighted):
     p = make_bvp(n, 1.0, "manufactured_sin", quadrature_weights=weighted)
     k = n // 2 + 3  # outside the first 16 coordinates
-    diagonal = with_jacobian_error(p, lambda J: J.__setitem__((k, k), J[k, k] * (1.0 + 1e-3)))
-    flipped = with_jacobian_error(p, lambda J: J.__setitem__((k, k + 1), -J[k, k + 1]))
+    diagonal = with_jacobian_error(p, (k, k), 1.0 + 1e-3)
+    flipped = with_jacobian_error(p, (k, k + 1), -1.0)
     for v in np.random.default_rng(17).uniform(-1.0, 1.0, size=(20, n)):
         assert check_gradient(p, v).max_relative_error <= 1e-6
         assert check_gradient(diagonal, v).max_relative_error > 1e-6
