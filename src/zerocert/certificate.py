@@ -24,25 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
-from .functional import _weights, grad_of_residual, norm_of_residual, residual_norm
-from .problems import ResidualProblem, block_rows, checked_output, eval_residual, residual_rows
+from .functional import _weights, grad_of_residual, residual_norm
+from .problems import ResidualProblem, block_rows, checked_output, residual_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
 
 SAMPLE_CAP = 10**6  # hard cap on sampled points in every dimension
-
-# Relative margin of the batched screen.  Batched norms and ratios are summed
-# in another order than the per-point path's, so they differ from it in the
-# last bits: over 567 250 sampled points (BVP n = 4, 10, 16, plain and
-# weighted, two balls each, and the quadratic) 186 182 ratios differed, by
-# at most 6.5e-16 relative.  A screened value alone would therefore change
-# report bytes; the screen only narrows the points and the per-point path
-# recomputes every candidate, which keeps c bit-identical.  1e-6 leaves
-# about 10^9 times the observed difference as headroom; it would not cover a
-# gradient J^T F that cancels to 1e-10 of its terms, whose batched and
-# per-point values can then differ by more than the margin.
-SCREEN_MARGIN = 1e-6
 
 
 def check_seed(seed: int) -> None:
@@ -222,38 +210,6 @@ def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, 
     return sample_ball(ball.center, ball.radius, count, seed)
 
 
-def _screen(problem: ResidualProblem, points: np.ndarray, floor: float) -> np.ndarray | slice:
-    """The points that can attain the sampled infimum, found in blocks of :func:`block_rows`.
-
-    Keeps points clearly above the residual floor whose batched ratio is
-    within SCREEN_MARGIN of the least such ratio, and points within
-    SCREEN_MARGIN of the floor itself.  Keeps every point (``slice(None)``)
-    when a batched residual norm, or a ratio not clearly below the floor, is
-    NaN or infinite, so the per-point path decides those cases.
-    """
-    w = _weights(problem)
-    rn = np.empty(len(points))
-    ratio = np.empty(len(points))
-    size = block_rows(problem)
-    with np.errstate(all="ignore"):
-        for start in range(0, len(points), size):
-            rows = slice(start, start + size)
-            V = points[rows]
-            R = np.asarray(residual_rows(problem, V), dtype=float)
-            G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, w * R),
-                               (len(V), problem.n))
-            rn[rows] = np.sqrt(np.sum(w * R * R, axis=1))
-            ratio[rows] = np.linalg.norm(G, axis=1) / rn[rows]
-    below = rn < floor * (1.0 - SCREEN_MARGIN)
-    if not (np.isfinite(rn).all() and np.isfinite(ratio[~below]).all()):
-        return slice(None)
-    keep = np.abs(rn - floor) <= SCREEN_MARGIN * floor
-    above = rn > floor * (1.0 + SCREEN_MARGIN)
-    if above.any():
-        keep |= above & (ratio <= ratio[above].min() * (1.0 + SCREEN_MARGIN))
-    return np.flatnonzero(keep)
-
-
 def domination_constant_sampled(
     problem: ResidualProblem,
     ball: Ball,
@@ -269,9 +225,10 @@ def domination_constant_sampled(
     samples are a uniform grid including both endpoints; in higher
     dimensions a deterministic low-discrepancy sequence in the ball.  Returns 0
     when every sampled point sits at the floor (the infimum is undetermined)
-    or when any sampled residual norm or ratio is NaN or infinite; both
-    yield a conservative certificate.  A ball of another dimension than the
-    problem's raises InputShapeError (:func:`check_dimension`).
+    or when any sampled residual norm or ratio is NaN or infinite (the norm
+    is infinite where the squares of F overflow); both yield a conservative
+    certificate.  A ball of another dimension than the problem's raises
+    InputShapeError (:func:`check_dimension`).
     """
     check_dimension(problem, ball)
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
@@ -282,21 +239,29 @@ def domination_constant_sampled(
 def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig) -> float:
     """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings.
 
-    With a ``vjp_batch`` only the points :func:`_screen` keeps take the
-    per-point loop, which gives the same value as running it on all of them."""
-    if problem.vjp_batch is not None:
-        points = points[_screen(problem, points, cfg.residual_floor)]
-    best = np.inf
-    for v in points:
-        r = eval_residual(problem, v)
-        rn = norm_of_residual(problem, r)
-        if rn <= cfg.residual_floor:
-            continue
-        ratio = float(np.linalg.norm(grad_of_residual(problem, v, r))) / rn
-        if not math.isfinite(ratio):
-            return 0.0
-        if ratio < best:
-            best = ratio
+    One :func:`residual_rows` call per block of :func:`block_rows` points;
+    the gradients come from ``vjp_batch``, or one point at a time from
+    :func:`grad_of_residual` for a problem without it.  A norm
+    sqrt(sum(w * F * F)) that is infinite makes its ratio 0 or NaN: c = 0.
+    """
+    w = _weights(problem)
+    size = block_rows(problem)
+    best = math.inf
+    with np.errstate(all="ignore"):
+        for start in range(0, len(points), size):
+            V = points[start:start + size]
+            R = np.asarray(residual_rows(problem, V), dtype=float)
+            rn = np.sqrt(np.sum(w * R * R, axis=1))
+            kept = ~(rn <= cfg.residual_floor)
+            if problem.vjp_batch is None:
+                G = [grad_of_residual(problem, v, r) for v, r in zip(V[kept], R[kept])]
+            else:
+                G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, w * R),
+                                   (len(V), problem.n))[kept]
+            ratio = np.linalg.norm(np.reshape(G, (-1, problem.n)), axis=1) / rn[kept]
+            if not np.isfinite(ratio).all():
+                return 0.0
+            best = float(ratio.min(initial=best))
     return cfg.safety * best if math.isfinite(best) else 0.0
 
 

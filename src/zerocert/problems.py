@@ -34,8 +34,8 @@ class ResidualProblem:
     promises that ``residual`` also maps a (k, n) array of points to the
     (k, m) array of their residuals, and that row i of ``residual(V)``
     equals ``residual(V[i])`` bit for bit.  The sampled domination constant
-    uses both to screen its points in blocks; the descent line search and the
-    gradient check evaluate theirs in blocks too.  Every block is one
+    uses both to evaluate its points in blocks; the descent line search and
+    the gradient check evaluate theirs in blocks too.  Every block is one
     :func:`residual_rows` call of :func:`block_rows` rows at most.  Without
     ``vjp_batch`` every point takes the per-point path.
 

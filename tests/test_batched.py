@@ -1,11 +1,13 @@
 """The optional hooks of a problem and the code that uses them.
 
-The screen in ``domination_constant_sampled`` may only narrow the points
-the per-point loop visits, never change the constant it returns, so every
-estimate here is compared exactly with the same call on a copy of the
-problem whose hooks are removed.  The same holds for descent, whose line
-search evaluates its ladder of steps in blocks, and for the gradient check.
-``newton_solve`` is compared with a dense solve of the analytic Jacobian.
+The sampled domination constant evaluates its points in blocks through the
+hooks, and one point at a time on a copy of the problem whose hooks are
+removed.  Both sum in another order than the textbook per-point formula, so
+each is compared with that formula, computed here, to 1e-15 relative.
+Descent, whose line search evaluates its ladder of steps in blocks, and the
+gradient check are compared exactly with the same call on the copy without
+hooks.  ``newton_solve`` is compared with a dense solve of the analytic
+Jacobian.
 """
 
 import dataclasses
@@ -26,10 +28,12 @@ from zerocert import (
     domination_constant_sampled,
     eval_jacobian,
     eval_residual,
+    grad_phi,
     linear_scale,
     make_bvp,
     make_quadratic,
     recover_problem_independent,
+    residual_norm,
     scale,
     search_mu,
     solve,
@@ -117,16 +121,24 @@ SAME_C = [
 ]
 
 
+def per_point_reference(problem, ball, spa, seed, floor=1e-12, safety=0.9):
+    """safety * min ||grad phi(v)|| / ||F(v)|| over the sampled points v with ||F(v)|| > floor."""
+    points = certificate._sample_points(problem, ball, spa, seed)
+    return safety * min(float(np.linalg.norm(grad_phi(problem, v))) / rn for v in points
+                        if (rn := residual_norm(problem, v)) > floor)
+
+
 @pytest.mark.parametrize("name,problem,ball,spa", SAME_C, ids=[case[0] for case in SAME_C])
 @pytest.mark.parametrize("seed", [1, 42])
-def test_screen_leaves_the_sampled_constant_bit_identical(name, problem, ball, spa, seed):
-    batched = domination_constant_sampled(problem, ball, spa, seed=seed)
-    looped = domination_constant_sampled(per_point(problem), ball, spa, seed=seed)
-    assert batched == looped
-    assert batched > 0.0
+def test_sampled_constant_matches_the_per_point_reference(name, problem, ball, spa, seed):
+    reference = per_point_reference(problem, ball, spa, seed)
+    for p in (problem, per_point(problem)):
+        c = domination_constant_sampled(p, ball, spa, seed=seed)
+        assert c > 0.0
+        assert abs(c - reference) <= 1e-15 * reference
 
 
-def test_screen_keeps_points_near_the_residual_floor():
+def test_residual_floor_excludes_the_same_points_on_both_paths():
     # a floor inside the range of sampled norms: the points excluded and
     # kept by it must match the per-point decision exactly
     q = make_quadratic(1.0)
@@ -136,7 +148,7 @@ def test_screen_keeps_points_near_the_residual_floor():
         assert batched == domination_constant_sampled(per_point(q), ball, 1001, residual_floor=floor)
 
 
-def test_non_finite_batch_keeps_every_point():
+def test_non_finite_batch_gives_zero_on_both_paths():
     p = make_bvp(4, 1.0, "manufactured_sin")
     ball = Ball(np.full(4, 1e110), 0.5)
     with np.errstate(all="ignore"):
@@ -145,18 +157,19 @@ def test_non_finite_batch_keeps_every_point():
     assert batched == looped == 0.0
 
 
-def test_sampled_certify_recomputes_only_the_candidates(monkeypatch):
-    # 65 536 points; the per-point loop over all of them takes seconds, the
-    # screen leaves one or two candidates
-    calls = []
+def test_sampled_certify_takes_no_per_point_gradient(monkeypatch):
+    # 65 536 points, all through vjp_batch: no per-point gradient and no
+    # Jacobian, where the per-point loop over all of them takes seconds
+    calls, jacobians = [], []
     original = certificate.grad_of_residual
     monkeypatch.setattr(certificate, "grad_of_residual",
                         lambda p, v, r: calls.append(1) or original(p, v, r))
-    p = make_bvp(16, 1.0, "manufactured_sin")
+    bvp = make_bvp(16, 1.0, "manufactured_sin")
+    p = dataclasses.replace(bvp, jacobian=lambda v: jacobians.append(1) or bvp.jacobian(v))
     cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
     assert cert.sample_count == 65536
     assert cert.c > 0.0
-    assert 1 <= len(calls) <= 8
+    assert calls == [] and jacobians == []
 
 
 def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
@@ -246,7 +259,7 @@ def test_line_search_and_gradient_check_bound_their_blocks():
     assert max(calls) <= 8
 
 
-def test_screen_bounds_its_blocks():
+def test_sampled_constant_bounds_its_blocks():
     # n = 16: 512 rows per batched residual call, 128 calls for 65 536 points
     calls = []
     counted = counting(make_bvp(16, 1.0, "manufactured_sin"), calls)

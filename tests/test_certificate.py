@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -67,18 +68,34 @@ def test_sampled_constant_returns_zero_when_residual_floor_excludes_everything()
 
 def test_non_finite_sample_gives_zero_constant():
     # F > 0 wherever it is defined, but the NaN samples at v < 0 used to be
-    # skipped, leaving c = 0.45 and a PASS
+    # skipped, leaving c = 0.45 and a PASS; the hooked twin evaluates its
+    # points in blocks through the batched residual and vjp_batch
     root = ResidualProblem(
         name="sqrt", n=1, m=1,
         residual=lambda v: np.sqrt(v) + 0.1,
         jacobian=lambda v: np.array([[0.5 / np.sqrt(v[0])]]),
     )
+    hooked = dataclasses.replace(root, vjp_batch=lambda V, Y: 0.5 / np.sqrt(V) * Y)
     ball = Ball(np.array([0.0]), 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c = domination_constant_sampled(root, ball, samples_per_axis=101)
-        cert = certify(root, ball, "sampled", SamplingConfig(samples_per_axis=101))
-    assert c == 0.0
-    assert cert.c == 0.0 and not cert.passed
+    for problem in (root, hooked):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            c = domination_constant_sampled(problem, ball, samples_per_axis=101)
+            cert = certify(problem, ball, "sampled", SamplingConfig(samples_per_axis=101))
+        assert c == 0.0
+        assert cert.c == 0.0 and not cert.passed
+
+
+def test_residual_whose_squares_overflow_gives_zero_constant():
+    # ||F|| = 1e160 is representable and the true ratio is 1, but the sum
+    # of squares overflows, so the sampled norm is inf and c = 0
+    big = ResidualProblem(
+        name="big", n=1, m=1,
+        residual=lambda v: v + 1e160,
+        jacobian=lambda v: np.ones((1, 1)),
+    )
+    hooked = dataclasses.replace(big, vjp_batch=lambda V, Y: Y)
+    for problem in (big, hooked):
+        assert domination_constant_sampled(problem, Ball(np.array([0.0]), 1.0), 11) == 0.0
 
 
 def test_sampled_monotone_in_radius():
