@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
-from .functional import grad_of_residual, norm_of_residual, phi_of_residual, phi_rows, residual_norm
+from .functional import _weights, grad_of_residual, norm_of_residual, phi_of_residual, residual_norm
 from .problems import (
     ResidualProblem,
     block_rows,
@@ -115,6 +115,11 @@ def _gauss_newton_direction(problem: ResidualProblem, v: np.ndarray, f: np.ndarr
     return d
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Each row's norm in one call, bit for bit np.linalg.norm(row) as Ball.contains takes it."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
+
+
 def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: list,
                  v: np.ndarray, d: np.ndarray, slope: float, phi_v: float,
                  size: int) -> tuple | None:
@@ -123,10 +128,18 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
     The ladder is searched in blocks, the first of ``size`` entries, each
     later one twice as long, none longer than :func:`block_rows`; ``ladder``
     grows by the same repeated multiplication until an entry falls below
-    STEP_UNDERFLOW.  None when no entry above it passes.
+    STEP_UNDERFLOW.  None when no entry above it passes.  A trial whose float
+    sum of squares proves phi(trial) >= phi(v) is rejected without its
+    compensated sum; every other trial's phi is the compensated sum.
     """
     max_rows = block_rows(problem)
     size = min(size, max_rows)
+    # A row is skipped soundly: the float sum S of its m nonnegative terms has |S - E| <=
+    # gamma_{m-1} E <= 2(m-1)u E, u = 2^-53, for their exact sum E (Higham 2002, 4.2; an
+    # addition below 2^-1022 is exact).  1 + 8mu is exact, and limit >= 2 phi_v (1 + 8mu)(1 - u)
+    # >= 2 phi_v (1 + 2(m-1)u) while normal; below 2^-1022, limit >= 2 phi_v and S is exact or
+    # >= 2^-1022 > 2 phi_v (1 + 8mu).  So S > limit gives E > 2 phi_v: fsum / 2 >= phi_v.
+    limit = 2.0 * phi_v * (1.0 + 4 * problem.m * 2.0**-52)
     j = 0
     while True:
         while len(ladder) < j + size and ladder[-1] >= STEP_UNDERFLOW:
@@ -139,22 +152,26 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
         with np.errstate(all="ignore") if len(steps) > 1 else contextlib.nullcontext():
             trials = v + np.array(steps)[:, None] * d
             offsets = trials - ball.center
-            # each row's norm as np.linalg.norm computes it in Ball.contains
-            norms = np.sqrt([o.dot(o) for o in offsets])
+            norms = _row_norms(offsets)
             inside = norms <= ball.radius
+            kept = range(len(steps))
             if cfg.ball_policy == CLIP_TO_BALL:
                 out = ~inside
                 trials[out] = ball.center + offsets[out] * (ball.radius / norms[out])[:, None]
-                kept = np.arange(len(steps))
             else:
                 kept = np.flatnonzero(inside)
+                trials = trials[kept]
             if len(kept):
-                V = trials[kept]
-                R = np.asarray(residual_rows(problem, V), dtype=float)
-                for row, (i, phi_trial) in enumerate(zip(kept, phi_rows(problem, R))):
+                R = np.asarray(residual_rows(problem, trials), dtype=float)
+                terms = _weights(problem) * R * R
+                with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
+                    sums = terms.sum(axis=1)
+                for row in np.flatnonzero(~(np.isfinite(sums) & (sums > limit))):
+                    phi_trial = phi_of_residual(problem, R[row])
+                    i = kept[row]
                     bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
-                        return j + int(i), V[row], R[row], phi_trial
+                        return j + int(i), trials[row], R[row], phi_trial
         j += len(steps)
         size = min(2 * size, max_rows)
 
@@ -183,8 +200,11 @@ def solve(
     as long, and none exceeds :func:`residual_rows`'s element bound.  The
     first passing trial in ladder order is the one the sequential search
     accepts, so the iterates are bit-identical to it.  Any other problem
-    evaluates one trial at a time.  The accepted trial's residual gives the
-    next iterate's norm, phi, gradient and Gauss-Newton step.
+    evaluates one trial at a time.  A trial whose float sum of squares
+    proves phi_trial >= phi(v) is rejected without the compensated sum;
+    every other phi_trial, and so the accepted one, is that sum.  The
+    accepted trial's residual gives the next iterate's norm, phi, gradient
+    and Gauss-Newton step.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -59,7 +58,7 @@ def _compensated_sum(terms) -> float:
 
 
 def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
-    return _compensated_sum(_weights(problem) * r * r)
+    return _compensated_sum((_weights(problem) * r * r).tolist())
 
 
 def norm_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
@@ -74,13 +73,6 @@ def norm_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
 def phi_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
     """||r||^2 / 2 for a residual vector r, as :func:`phi` reports it."""
     return 0.5 * _weighted_square_sum(problem, r)
-
-
-def phi_rows(problem: ResidualProblem, R: np.ndarray) -> Iterator[float]:
-    """phi of each row of the residual array R, in row order and computed only
-    when asked for, each equal to :func:`phi_of_residual` of that row."""
-    for terms in _weights(problem) * R * R:
-        yield 0.5 * _compensated_sum(terms.tolist())
 
 
 def residual_norm(problem: ResidualProblem, v) -> float:

@@ -238,11 +238,9 @@ def make_bvp(
         return -second + gamma * v**3 - f_vals
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        jac = np.zeros((n, n))
-        idx = np.arange(n)
-        jac[idx, idx] = 2.0 * inv_h2 + 3.0 * gamma * v**2
-        jac[idx[:-1], idx[:-1] + 1] = -inv_h2
-        jac[idx[1:], idx[1:] - 1] = -inv_h2
+        jac = np.diag(2.0 * inv_h2 + 3.0 * gamma * v**2)
+        jac.flat[1::n + 1] = -inv_h2  # the superdiagonal
+        jac.flat[n::n + 1] = -inv_h2  # the subdiagonal
         return jac
 
     # the batched VJP works on rows as stencils and builds no Jacobian

@@ -11,6 +11,8 @@ Jacobian.
 """
 
 import dataclasses
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ from zerocert import (
     search_mu,
     solve,
 )
-from zerocert import certificate, cli
+from zerocert import certificate, cli, descent
 from zerocert.functional import check_gradient
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -287,6 +289,89 @@ def test_descent_evaluates_f_once_per_iterate(config, residual_calls, jacobian_c
                                   jacobian=lambda v: jacobians.append(1) or problem.jacobian(v))
     solve(counted, ball, cli.build_descent_config(cfg))
     assert (len(calls), len(jacobians)) == (residual_calls, jacobian_calls)
+
+
+def test_row_norms_are_the_norms_ball_contains_takes():
+    # the clip and the reject screen compare these with the radius, as Ball.contains
+    # compares np.linalg.norm; an einsum norm sums in another order and moves the
+    # bvp16_steepest_clip golden
+    rng = np.random.default_rng(17)
+    for n in [*range(1, 81), 256, 1024]:
+        for size in (1e-8, 1.0, 1e8):
+            for k in (1, 2, 21, 64):
+                rows = size * rng.normal(size=(k, n))
+                expected = np.array([np.linalg.norm(row) for row in rows])
+                assert descent._row_norms(rows).tobytes() == expected.tobytes()
+
+
+def identity_problem(m):
+    """F(v) = v on R^m, batched: a trial's squares are its entries squared."""
+    return ResidualProblem(name="identity", n=m, m=m, residual=lambda V: 1.0 * V,
+                           jacobian=lambda v: np.eye(m), vjp_batch=lambda V, Y: 1.0 * Y)
+
+
+def test_line_search_accepts_a_trial_whose_float_sum_alone_would_reject_it():
+    # rows whose float sum S of squares lies above 2 phi_v while their compensated
+    # sum lies below it: the screen's margin must keep them, and the line search
+    # accepts the first of a block of four such trials with its compensated phi
+    m = 64
+    rng = np.random.default_rng(2024)
+    rows = rng.normal(size=(4000, m)) * np.exp(rng.uniform(-2.0, 2.0, size=(4000, m)))
+    squares = rows * rows
+    float_sums = squares.sum(axis=1)
+    cases = [i for i in range(len(rows))
+             if math.fsum(squares[i].tolist()) < np.nextafter(float_sums[i], 0.0)][:4]
+    assert cases
+    for i in cases:
+        phi_v = 0.5 * np.nextafter(float_sums[i], 0.0)
+        phi_trial = 0.5 * math.fsum(squares[i].tolist())
+        assert phi_trial < phi_v < 0.5 * float_sums[i]
+        found = descent._line_search(identity_problem(m), Ball(rows[i], 1.0), DescentConfig(),
+                                     [1.0], rows[i], np.zeros(m), -1e-300, phi_v, 4)
+        assert found is not None
+        index, trial, r, phi = found
+        assert index == 0 and phi == phi_trial
+        assert trial.tobytes() == r.tobytes() == rows[i].tobytes()
+
+
+def test_line_search_takes_few_compensated_sums(monkeypatch):
+    # the float-sum screen leaves under 2 compensated sums per iteration on the
+    # clipped BVP golden (464 for 283 iterations and the stall), where a
+    # compensated sum per trial took 5758
+    cfg, problem, ball = golden_case("bvp16_steepest_clip.json")
+    calls, active = [], []
+    fsum, line_search = math.fsum, descent._line_search
+
+    def counted_fsum(terms):
+        calls.extend(active)
+        return fsum(terms)
+
+    def counted_line_search(*args):
+        active.append(1)
+        try:
+            return line_search(*args)
+        finally:
+            active.clear()
+
+    monkeypatch.setattr(math, "fsum", counted_fsum)
+    monkeypatch.setattr(descent, "_line_search", counted_line_search)
+    result = solve(problem, ball, cli.build_descent_config(cfg))
+    assert result.iterations == 283
+    assert len(calls) <= 4 * result.iterations
+
+
+def test_a_one_row_block_whose_sum_of_squares_overflows_writes_no_warning():
+    # each square at the trial is 1e308, their sum overflows: the compensated sum
+    # makes it inf without a warning, and the float sum of the screen must too
+    p = ResidualProblem(name="twice", n=1, m=2,
+                        residual=lambda V: np.concatenate([V, V], axis=-1),
+                        jacobian=lambda v: np.ones((2, 1)),
+                        vjp_batch=lambda V, Y: Y.sum(axis=1, keepdims=True))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = descent._line_search(p, Ball(np.zeros(1), 1e155), DescentConfig(), [1.0],
+                                     np.zeros(1), np.array([1e154]), -1.0, 1.0, 1)
+    assert found is None
 
 
 def test_sampled_sweep_draws_its_points_once(monkeypatch):

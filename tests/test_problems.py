@@ -106,6 +106,23 @@ def test_analytic_jacobian_matches_finite_differences(problem):
         assert rel_entry_error(analytic, numeric) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 257])
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.0])
+def test_bvp_jacobian_is_the_tridiagonal_matrix_bit_for_bit(n, gamma):
+    # the matrix written entry by entry into zeros, each diagonal by its own index write
+    p = make_bvp(n, gamma, "manufactured_sin")
+    h = 1.0 / (n + 1)
+    inv_h2 = 1.0 / (h * h)
+    for v in (np.zeros(n), np.linspace(-2.0, 2.0, n), np.random.default_rng(n).normal(size=n)):
+        expected = np.zeros((n, n))
+        idx = np.arange(n)
+        expected[idx, idx] = 2.0 * inv_h2 + 3.0 * gamma * v**2
+        expected[idx[:-1], idx[:-1] + 1] = -inv_h2
+        expected[idx[1:], idx[1:] - 1] = -inv_h2
+        jac = eval_jacobian(p, v)
+        assert jac.shape == expected.shape and jac.tobytes() == expected.tobytes()
+
+
 def test_finite_difference_fallback():
     base = make_quadratic(3.0)
     p = ResidualProblem(name="fd_only", n=1, m=1, residual=base.residual)
