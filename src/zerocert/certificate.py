@@ -145,6 +145,29 @@ def quadratic_domination_constant(lam: float, x: float, r: float) -> float:
     return 2.0 * abs(lam) * (-x - r)
 
 
+def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float) -> Certificate:
+    """Closed-form certificate for the mu-rescaled quadratic problem.
+
+    Rescaling the domain by B(v) = mu*v turns F(u) = lam*u**2 - 1 into
+    G(v) = (lam/mu**2)*v**2 - 1, whose certificate on B_r(x) has the same
+    closed form with coefficient lam/mu**2.  Both sides of that comparison
+    are reported multiplied by mu**2 (lhs = |lam*x**2 - mu**2|, rhs = r times
+    the original problem's constant), which leaves the verdict unchanged,
+    makes slacks comparable across mu, and at mu = 1 is :func:`certify`'s
+    closed form: |lam*x**2 - 1| is ||F(x)||.  Only this original-scale form
+    is evaluated, and the verdict is :meth:`Certificate.judge`'s.
+    """
+    mu = float(mu)
+    if mu == 0.0:
+        raise InvalidConfigurationError("mu must be nonzero")
+    lam = float(lam)
+    x = float(x)
+    r = float(r)
+    c = quadratic_domination_constant(lam, x, r)
+    lhs = abs(lam * x * x - mu * mu)
+    return Certificate.judge(Ball(np.array([x]), r), c, lhs, METHOD_CLOSED_FORM)
+
+
 def _first_primes(k: int) -> list[int]:
     primes: list[int] = []
     cand = 2
@@ -183,17 +206,17 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -
     # disjoint index windows per seed, so different seeds share no points
     start = 1 + seed * count
     idx = np.arange(start, start + count)
-    u = np.column_stack([_radical_inverse(idx, b) for b in bases])
+    u = np.array([_radical_inverse(idx, b) for b in bases])  # one row per Halton dimension
+    # Box-Muller on all pairs of rows at once, each row contiguous: (2p, 2p+1) -> z's columns
+    rho = np.sqrt(-2.0 * np.log(u[0:-1:2]))
+    ang = 2.0 * np.pi * u[1::2]
     z = np.empty((count, 2 * pairs))
-    for p in range(pairs):
-        rho = np.sqrt(-2.0 * np.log(u[:, 2 * p]))
-        ang = 2.0 * np.pi * u[:, 2 * p + 1]
-        z[:, 2 * p] = rho * np.cos(ang)
-        z[:, 2 * p + 1] = rho * np.sin(ang)
+    z[:, 0::2] = (rho * np.cos(ang)).T
+    z[:, 1::2] = (rho * np.sin(ang)).T
     z = z[:, :n]
     norms = np.linalg.norm(z, axis=1)
     norms[norms == 0.0] = 1.0
-    radii = radius * u[:, -1] ** (1.0 / n)
+    radii = radius * u[-1] ** (1.0 / n)
     return center + z / norms[:, None] * radii[:, None]
 
 
@@ -294,19 +317,19 @@ def certify(
 ) -> Certificate:
     """Check both ball conditions and report the verdict with slack.
 
-    ``method`` must pass :func:`check_method`.  The verdict follows
+    ``method`` must pass :func:`check_method`; the closed form is
+    :func:`transformed_certificate_quadratic` at mu = 1.  The verdict follows
     :meth:`Certificate.judge`: ties lhs == rhs pass, a NaN or infinite lhs
     or c fails.
     """
     check_dimension(problem, ball)
     check_method(problem, method)
     if method == METHOD_CLOSED_FORM:
-        c = quadratic_domination_constant(problem.params["lambda"], ball.center[0], ball.radius)
-        count = 0
-    else:
-        cfg = sampling or SamplingConfig()
-        c = domination_constant_sampled(
-            problem, ball, cfg.samples_per_axis, cfg.residual_floor, cfg.safety, cfg.seed
-        )
-        count = _sample_count(problem.n, cfg.samples_per_axis)
-    return Certificate.judge(ball, c, residual_norm(problem, ball.center), method, count)
+        return transformed_certificate_quadratic(problem.params["lambda"], 1.0, ball.center[0],
+                                                 ball.radius)
+    cfg = sampling or SamplingConfig()
+    c = domination_constant_sampled(
+        problem, ball, cfg.samples_per_axis, cfg.residual_floor, cfg.safety, cfg.seed
+    )
+    return Certificate.judge(ball, c, residual_norm(problem, ball.center), method,
+                             _sample_count(problem.n, cfg.samples_per_axis))

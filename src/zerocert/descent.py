@@ -154,15 +154,16 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
             offsets = trials - ball.center
             norms = _row_norms(offsets)
             inside = norms <= ball.radius
-            kept = range(len(steps))
-            if cfg.ball_policy == CLIP_TO_BALL:
+            clip = cfg.ball_policy == CLIP_TO_BALL
+            if clip:
                 out = ~inside
                 trials[out] = ball.center + offsets[out] * (ball.radius / norms[out])[:, None]
-            else:
-                kept = np.flatnonzero(inside)
-                trials = trials[kept]
+            # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
+            moved = (trials != v).any(axis=1)
+            kept = (moved if clip else moved & inside).nonzero()[0]
             if len(kept):
-                R = np.asarray(residual_rows(problem, trials), dtype=float)
+                rows = trials if len(kept) == len(trials) else trials[kept]
+                R = np.asarray(residual_rows(problem, rows), dtype=float)
                 terms = _weights(problem) * R * R
                 with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
                     sums = terms.sum(axis=1)
@@ -171,7 +172,7 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
                     i = kept[row]
                     bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
-                        return j + int(i), trials[row], R[row], phi_trial
+                        return j + int(i), trials[i], R[row], phi_trial
         j += len(steps)
         size = min(2 * size, max_rows)
 

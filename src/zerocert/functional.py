@@ -64,9 +64,10 @@ def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
 def norm_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
     """The codomain norm of a residual vector r, as :func:`residual_norm` reports it."""
     square_sum = _weighted_square_sum(problem, r)
-    if square_sum == math.inf and np.isfinite(r).all():
+    if not 2.0**-1022 <= square_sum < math.inf:  # overflowed, or underflowed past normal
         s = float(np.max(np.abs(r)))
-        return s * math.sqrt(_weighted_square_sum(problem, r / s))
+        if 0.0 < s < math.inf:
+            return s * math.sqrt(_weighted_square_sum(problem, r / s))
     return math.sqrt(square_sum)
 
 
@@ -78,9 +79,10 @@ def phi_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
 def residual_norm(problem: ResidualProblem, v) -> float:
     """Codomain norm ||F(v)||, weighted when the problem carries weights.
 
-    When the sum of squares overflows although every entry is finite, the
-    norm is computed as s*||F(v)/s|| with s = max|F_i|, so it stays finite
-    while it is representable.
+    When the sum of squares overflows, or falls below 2**-1022, although
+    every entry is finite and one is nonzero, the norm is computed as
+    s*||F(v)/s|| with s = max|F_i|: it stays finite while it is
+    representable, and a tiny residual keeps a nonzero norm.
     """
     return norm_of_residual(problem, eval_residual(problem, v))
 

@@ -205,9 +205,10 @@ def make_bvp(
 
         -(v[i-1] - 2 v[i] + v[i+1])/h^2 + gamma*v[i]^3 - f(t_i)
 
-    with boundary values 0, so F maps R^N to R^N.  The Jacobian is the
-    tridiagonal difference matrix plus the diagonal 3*gamma*v^2, so the
-    problem's ``newton_solve`` is a tridiagonal (Thomas) solve.
+    with boundary values 0, so F maps R^N to R^N.  The Jacobian is
+    tridiagonal: -1/h^2 off the diagonal and ``diagonal(v)`` = 2/h^2 +
+    3*gamma*v^2 on it, one function that ``jacobian``, ``vjp_batch`` and
+    ``newton_solve`` (a Thomas solve, whose pivots start from it) all read.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -230,6 +231,9 @@ def make_bvp(
         )
     inv_h2 = 1.0 / (h * h)
 
+    def diagonal(v: np.ndarray) -> np.ndarray:
+        return 2.0 * inv_h2 + 3.0 * gamma * v**2
+
     # one stencil along the last axis, for a point (n,) and for a batch of points (k, n)
     def residual(v: np.ndarray) -> np.ndarray:
         zero = np.zeros(v.shape[:-1] + (1,))
@@ -238,7 +242,7 @@ def make_bvp(
         return -second + gamma * v**3 - f_vals
 
     def jacobian(v: np.ndarray) -> np.ndarray:
-        jac = np.diag(2.0 * inv_h2 + 3.0 * gamma * v**2)
+        jac = np.diag(diagonal(v))
         jac.flat[1::n + 1] = -inv_h2  # the superdiagonal
         jac.flat[n::n + 1] = -inv_h2  # the subdiagonal
         return jac
@@ -246,13 +250,13 @@ def make_bvp(
     # the batched VJP works on rows as stencils and builds no Jacobian
     def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
         neighbours = np.pad(Y, ((0, 0), (1, 1)))
-        diagonal = 2.0 * inv_h2 + 3.0 * gamma * V**2
-        return diagonal * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
+        return diagonal(V) * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
 
-    # Thomas elimination on tridiag(-1/h^2, 2/h^2 + 3*gamma*v^2, -1/h^2), in
-    # Python floats: O(n), and an overflow or a NaN propagates without a warning
+    # Thomas elimination on tridiag(-1/h^2, diagonal(v), -1/h^2), in Python
+    # floats: O(n), and an overflow or a NaN propagates without a warning
     def newton_solve(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-        pivots = [2.0 * inv_h2 + 3.0 * gamma * x * x for x in v.tolist()]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pivots = diagonal(v).tolist()
         z = y.tolist()
         x = [0.0] * n
         try:

@@ -8,8 +8,9 @@ analytic gradient against finite differences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,46 +41,43 @@ class SuiteResult:
         return self.failed == 0
 
 
+def _tally(name: str, outcomes: Iterable[tuple[bool, str]]) -> SuiteResult:
+    """Count a suite's (ok, label) outcomes; ``first_failure`` is the first failing label."""
+    outcomes = list(outcomes)
+    failures = [label for ok, label in outcomes if not ok]
+    return SuiteResult(name, len(outcomes) - len(failures), len(failures), next(iter(failures), None))
+
+
 def suite_closed_form_vs_sampled(seed: int = 42, cases: int = 10) -> SuiteResult:
     """Sampled constant (safety 1, 1001 samples) within 1% of the closed form, on ``cases`` balls."""
     rng = np.random.default_rng(seed)
-    passed = failed = 0
-    first_failure = None
-    while passed + failed < cases:
-        lam = rng.uniform(0.25, 4.0)
-        x = rng.uniform(-3.0, 3.0)
-        r = rng.uniform(0.1, 1.0)
-        exact = quadratic_domination_constant(lam, x, r)
-        if exact <= 0.0:
-            continue
-        sampled = domination_constant_sampled(
-            make_quadratic(lam), Ball(np.array([x]), r),
-            samples_per_axis=1001, safety=1.0, seed=seed,
-        )
-        if abs(sampled - exact) <= 0.01 * exact:
-            passed += 1
-        else:
-            failed += 1
-            first_failure = first_failure or f"lam={lam} x={x} r={r}: sampled {sampled} vs {exact}"
-    return SuiteResult("closed_form_vs_sampled", passed, failed, first_failure)
+
+    def outcomes():  # endless: balls with a zero constant are drawn again
+        while True:
+            lam, x, r = rng.uniform(0.25, 4.0), rng.uniform(-3.0, 3.0), rng.uniform(0.1, 1.0)
+            exact = quadratic_domination_constant(lam, x, r)
+            if exact > 0.0:
+                sampled = domination_constant_sampled(
+                    make_quadratic(lam), Ball(np.array([x]), r),
+                    samples_per_axis=1001, safety=1.0, seed=seed,
+                )
+                yield (abs(sampled - exact) <= 0.01 * exact,
+                       f"lam={lam} x={x} r={r}: sampled {sampled} vs {exact}")
+
+    return _tally("closed_form_vs_sampled", itertools.islice(outcomes(), max(cases, 0)))
 
 
 def suite_equivalence_grid() -> SuiteResult:
     """Transformed-problem and original-scale certificate forms agree."""
-    passed = failed = 0
-    first_failure = None
-    for lam in EQUIVALENCE_GRID["lam"]:
-        for mu in EQUIVALENCE_GRID["mu"]:
-            for x in EQUIVALENCE_GRID["x"]:
-                for r in EQUIVALENCE_GRID["r"]:
-                    lam_g = lam / mu**2
-                    direct = abs(lam_g * x * x - 1.0) <= r * quadratic_domination_constant(lam_g, x, r)
-                    if transformed_certificate_quadratic(lam, mu, x, r).passed == direct:
-                        passed += 1
-                    else:
-                        failed += 1
-                        first_failure = first_failure or f"lam={lam} mu={mu} x={x} r={r}"
-    return SuiteResult("equivalence_grid", passed, failed, first_failure)
+
+    def outcome(lam, mu, x, r):
+        lam_g = lam / mu**2
+        direct = abs(lam_g * x * x - 1.0) <= r * quadratic_domination_constant(lam_g, x, r)
+        return (transformed_certificate_quadratic(lam, mu, x, r).passed == direct,
+                f"lam={lam} mu={mu} x={x} r={r}")
+
+    return _tally("equivalence_grid",
+                  itertools.starmap(outcome, itertools.product(*EQUIVALENCE_GRID.values())))
 
 
 def suite_gradient_checks(
@@ -94,17 +92,10 @@ def suite_gradient_checks(
             make_bvp(16, 0.0, "sin_pi"),
             make_bvp(16, 1.0, "manufactured_sin"),
         ]
-    passed = failed = 0
-    first_failure = None
-    for problem in problems:
-        for point in range(points):
-            v = rng.uniform(-2.0, 2.0, size=problem.n)
-            if check_gradient(problem, v).max_relative_error <= 1e-6:
-                passed += 1
-            else:
-                failed += 1
-                first_failure = first_failure or f"{problem.name} {problem.params} point {point}"
-    return SuiteResult("gradient_checks", passed, failed, first_failure)
+    return _tally("gradient_checks", (
+        (check_gradient(problem, rng.uniform(-2.0, 2.0, size=problem.n)).max_relative_error <= 1e-6,
+         f"{problem.name} {problem.params} point {point}")
+        for problem in problems for point in range(points)))
 
 
 def run_selftest(seed: int = 42) -> int:

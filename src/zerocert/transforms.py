@@ -32,7 +32,7 @@ from .certificate import (
     _sampled_infimum,
     check_dimension,
     check_method,
-    quadratic_domination_constant,
+    transformed_certificate_quadratic,
 )
 from .exceptions import InvalidConfigurationError
 from .functional import residual_norm
@@ -208,29 +208,6 @@ def pull_back_zero(transform: Transform, v_star) -> np.ndarray:
     ||G(v*)|| exactly as a value, not just up to tolerance.
     """
     return np.atleast_1d(np.asarray(transform.inverse(np.asarray(v_star, dtype=float)), dtype=float))
-
-
-def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float) -> Certificate:
-    """Closed-form certificate for the mu-rescaled quadratic problem.
-
-    Rescaling the domain by B(v) = mu*v turns F(u) = lam*u**2 - 1 into
-    G(v) = (lam/mu**2)*v**2 - 1, whose certificate on B_r(x) has the same
-    closed form with coefficient lam/mu**2.  Both sides of that comparison
-    are reported multiplied by mu**2 (lhs = |lam*x**2 - mu**2|, rhs = r times
-    the original problem's constant), which leaves the verdict unchanged,
-    reduces to the plain certificate at mu = 1, and makes slacks comparable
-    across mu.  Only this original-scale form is evaluated, and the verdict
-    is :meth:`Certificate.judge`'s, as in :func:`certify`.
-    """
-    mu = float(mu)
-    if mu == 0.0:
-        raise InvalidConfigurationError("mu must be nonzero")
-    lam = float(lam)
-    x = float(x)
-    r = float(r)
-    c = quadratic_domination_constant(lam, x, r)
-    lhs = abs(lam * x * x - mu * mu)
-    return Certificate.judge(Ball(np.array([x]), r), c, lhs, METHOD_CLOSED_FORM)
 
 
 @dataclass(frozen=True)

@@ -197,19 +197,27 @@ def counting(problem, calls):
     return dataclasses.replace(problem, residual=residual)
 
 
-def sequential_residual_count(result, cfg):
-    """Residual calls of a one-trial-at-a-time ladder under clip_to_ball, counted from the trace.
+def sequential_residual_count(searches, ball, cfg):
+    """Residual calls of a one-trial-at-a-time ladder under clip_to_ball.
 
-    One call at the centre, and per iteration one per trial down to the
-    accepted step, whose residual the gradient and the Gauss-Newton direction
-    reuse; a stall evaluates the whole ladder.
+    One call at the centre, and per line search one per trial down to the
+    accepted step (the whole ladder for a stall), whose residual the gradient
+    and the Gauss-Newton direction reuse.  A trial that clips or rounds back
+    to v has phi(v), cannot pass and is not evaluated.  ``searches`` holds
+    each line search's (v, d, accepted ladder index, or None for a stall).
     """
     ladder = [cfg.initial_step]
     while ladder[-1] * cfg.backtrack_factor >= 1e-16:
         ladder.append(ladder[-1] * cfg.backtrack_factor)
-    count = 1 + sum(ladder.index(row[3]) + 1 for row in result.trace)
-    if result.status == "stalled":
-        count += len(ladder)
+    count = 1
+    for v, d, index in searches:
+        for t in ladder if index is None else ladder[:index + 1]:
+            trial = v + t * d
+            offset = trial - ball.center
+            norm = np.linalg.norm(offset)
+            if not norm <= ball.radius:
+                trial = ball.center + offset * (ball.radius / norm)
+            count += bool((trial != v).any())
     return count
 
 
@@ -219,22 +227,32 @@ DESCENT_BALLS = (0.5, 3.0)  # radii around 0.3 * ones: the sphere stops descent,
 @pytest.mark.parametrize("name", sorted(HOOKED))
 @pytest.mark.parametrize("policy", ["clip_to_ball", "reject_outside"])
 @pytest.mark.parametrize("direction", ["steepest", "gauss_newton"])
-def test_block_line_search_matches_the_sequential_ladder(name, policy, direction):
+def test_block_line_search_matches_the_sequential_ladder(name, policy, direction, monkeypatch):
     p = HOOKED[name]
     cfg = DescentConfig(ball_policy=policy, direction=direction, max_iterations=60)
+    line_search = descent._line_search
+
+    def recorded(problem, ball, cfg, ladder, v, d, *rest):
+        found = line_search(problem, ball, cfg, ladder, v, d, *rest)
+        searches.append((v, d, None if found is None else found[0]))
+        return found
+
     for radius in DESCENT_BALLS:
         ball = Ball(np.full(p.n, 0.3), radius)
-        calls = []
+        calls, searches = [], []
         with np.errstate(all="ignore"):
             blocks = solve(p, ball, cfg, record_trace=True)
-            looped = solve(counting(per_point(p), calls), ball, cfg, record_trace=True)
+            with monkeypatch.context() as patched:
+                patched.setattr(descent, "_line_search", recorded)
+                looped = solve(counting(per_point(p), calls), ball, cfg, record_trace=True)
+            expected = sequential_residual_count(searches, ball, cfg)
         assert blocks.u.tobytes() == looped.u.tobytes()
         assert (blocks.status, blocks.iterations, blocks.residual_norm) == (
             looped.status, looped.iterations, looped.residual_norm)
         assert blocks.trace == looped.trace
         assert set(calls) == {1}
         if policy == "clip_to_ball":
-            assert len(calls) == sequential_residual_count(looped, cfg)
+            assert len(calls) == expected
 
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
@@ -326,8 +344,9 @@ def test_line_search_accepts_a_trial_whose_float_sum_alone_would_reject_it():
         phi_v = 0.5 * np.nextafter(float_sums[i], 0.0)
         phi_trial = 0.5 * math.fsum(squares[i].tolist())
         assert phi_trial < phi_v < 0.5 * float_sums[i]
+        # from v = 0 along d = rows[i], so the step t = 1 lands on rows[i] exactly
         found = descent._line_search(identity_problem(m), Ball(rows[i], 1.0), DescentConfig(),
-                                     [1.0], rows[i], np.zeros(m), -1e-300, phi_v, 4)
+                                     [1.0], np.zeros(m), rows[i], -1e-300, phi_v, 4)
         assert found is not None
         index, trial, r, phi = found
         assert index == 0 and phi == phi_trial

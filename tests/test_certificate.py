@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from zerocert import certificate
 from zerocert import (
     Ball,
     InputShapeError,
@@ -16,6 +17,7 @@ from zerocert import (
     make_quadratic,
     quadratic_domination_constant,
     report,
+    residual_norm,
     sample_ball,
     search_mu,
     transformed_certificate_quadratic,
@@ -260,6 +262,49 @@ def test_sample_ball_points_inside_and_deterministic():
     assert np.array_equal(pts, again)
     shifted = sample_ball(center, 2.0, 500, seed=43)
     assert not np.array_equal(pts, shifted)
+
+
+def per_pair_sample_ball(center, radius, count, seed):
+    """sample_ball with its Box-Muller step written as a loop over the pairs of columns."""
+    n = len(center)
+    pairs = (n + 1) // 2
+    idx = np.arange(1 + seed * count, 1 + seed * count + count)
+    bases = certificate._first_primes(2 * pairs + 1)
+    u = np.column_stack([certificate._radical_inverse(idx, b) for b in bases])
+    z = np.empty((count, 2 * pairs))
+    for p in range(pairs):
+        rho = np.sqrt(-2.0 * np.log(u[:, 2 * p]))
+        ang = 2.0 * np.pi * u[:, 2 * p + 1]
+        z[:, 2 * p] = rho * np.cos(ang)
+        z[:, 2 * p + 1] = rho * np.sin(ang)
+    z = z[:, :n]
+    norms = np.linalg.norm(z, axis=1)
+    norms[norms == 0.0] = 1.0
+    radii = radius * u[:, -1] ** (1.0 / n)
+    return center + z / norms[:, None] * radii[:, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 16, 17, 64])
+@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
+def test_sample_ball_transforms_all_pairs_at_once_bit_for_bit(n, seed):
+    center = np.linspace(-1.0, 2.0, n)
+    pts = sample_ball(center, 0.75, 257, seed)
+    assert pts.tobytes() == per_pair_sample_ball(center, 0.75, 257, seed).tobytes()
+
+
+def test_certify_closed_form_is_the_sweep_closed_form_at_mu_one():
+    # |lam*x**2 - 1| is ||F(x)|| on the quadratic, including where lam*x**2 overflows
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        lam, x = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-300.0, 300.0, 2)
+        # the first ball straddles 0 whenever its radius reaches |x|
+        for r in (abs(x) * rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-300.0, 300.0)):
+            problem, ball = make_quadratic(lam), Ball([x], r)
+            cert = certify(problem, ball, "closed_form_quadratic")
+            closed = transformed_certificate_quadratic(lam, 1.0, x, r)
+            assert report.dumps(cert) == report.dumps(closed)
+            with np.errstate(over="ignore"):
+                assert cert.lhs == residual_norm(problem, ball.center)
 
 
 def test_sampled_constant_multidimensional():

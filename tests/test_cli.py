@@ -568,6 +568,16 @@ def test_closed_form_search_reports_an_infinite_lhs(tmp_path, capsys):
 
 
 OVERFLOW = Path(__file__).resolve().parent / "bvp_overflow.json"
+UNDERFLOW = Path(__file__).resolve().parent / "bvp_underflow.json"
+
+
+def test_an_underflowing_residual_fails(tmp_path, capsys):
+    # F(x) = [2.5e-169, 0, 0, 2.5e-169]: its squares summed to 0, and 0 <= r*0 passed,
+    # although the only zero, u = 0, lies 2e-170 from the centre, outside the ball
+    assert cli.main(["certify", "--config", str(UNDERFLOW),
+                     "--report", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == (
+        "FAIL lhs=3.5355339059327373e-169 rhs=0 slack=-3.5355339059327373e-169 c=0 method=sampled\n")
 
 
 @pytest.mark.parametrize("command, out", [

@@ -83,6 +83,18 @@ def test_clip_to_ball_stalls_at_the_sphere_instead_of_taking_null_steps():
     assert all(a > b for a, b in zip(phis, phis[1:]))
 
 
+def test_a_clipped_trial_equal_to_the_iterate_is_not_evaluated(monkeypatch):
+    # the stalling line search clipped every trial back to the iterate 0.5: 54 of the
+    # 55 rows sent to residual_rows were that iterate, whose phi cannot pass
+    rows = []
+    original = descent.residual_rows
+    monkeypatch.setattr(descent, "residual_rows",
+                        lambda problem, V: rows.extend(V.tolist()) or original(problem, V))
+    result = solve(make_quadratic(1.0), Ball(np.array([0.3]), 0.2))
+    assert (result.status, result.iterations, result.u.tolist()) == ("stalled", 1, [0.5])
+    assert rows == [[0.5]]
+
+
 def test_gauss_newton_stops_at_the_rounding_floor():
     # the default tolerance 1e-10 is below this BVP's rounding floor: the
     # solve reached the floor and then ran to max_iterations

@@ -95,6 +95,9 @@ def test_residual_norm_survives_an_overflowing_square():
     assert residual_norm(bvp, v) == pytest.approx(expected, rel=1e-15)
     weighted = make_bvp(4, 1.0, quadrature_weights=True)
     assert residual_norm(weighted, v) == pytest.approx(expected * np.sqrt(0.2), rel=1e-15)
+    # squares that underflow: F = [2.5e-169, 0, 0, 2.5e-169] summed to 0 and read as a zero
+    tiny = residual_norm(bvp, np.full(4, 1e-170))
+    assert tiny == pytest.approx(2.5e-169 * np.sqrt(2), rel=1e-15, abs=0.0)
 
 
 def test_residual_norm_of_a_non_finite_residual_stays_non_finite():
