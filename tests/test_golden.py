@@ -26,6 +26,8 @@ CASES = {
     "readme_certify": ("certify", "readme.json", None),
     "readme_search": ("search", "readme.json", "sweep"),
     "readme_solve": ("solve", "readme.json", "trace"),
+    # the one sampled certificate: 1024 Halton points from start 716 801, past 2**19
+    "bvp10_sampled_certify": ("certify", "bvp10_sampled.json", None),
     "bvp16_gauss_newton_solve": ("solve", "bvp16_gauss_newton.json", "trace"),
     # the one case with more than 16 unknowns
     "bvp64_gauss_newton_solve": ("solve", "bvp64_gauss_newton.json", "trace"),
