@@ -169,25 +169,40 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
 
 
 def _first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    cand = 2
+    primes = [2]
+    cand = 3
     while len(primes) < k:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    return primes
+        for p in primes:  # trial division up to sqrt(cand)
+            if cand % p == 0:
+                break
+            if p * p > cand:  # reached before the list ends (Bertrand's postulate)
+                primes.append(cand)
+                break
+        cand += 2
+    return primes[:k]
 
 
-def _radical_inverse(indices: np.ndarray, base: int) -> np.ndarray:
-    """Van der Corput radical inverse of each index in the given base."""
-    i = indices.astype(np.int64)
+def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
+    """Van der Corput radical inverse in ``base`` of each index start, ..., start + count - 1.
+
+    Bit for bit the digit loop out += f*d, f = base**-k: a table holds the K lowest digits
+    (base**K <= count) of every residue, one row per high part; each higher digit adds a term.
+    """
     f = 1.0
-    out = np.zeros(len(i))
-    while np.any(i > 0):
+    table = np.zeros(1)
+    while len(table) * base <= count:
         f /= base
-        out += f * (i % base)
-        i //= base
-    return out
+        table = np.add.outer(f * np.arange(base), table).ravel()
+    low = len(table)
+    top = (start + count - 1) // low  # the largest high part
+    high = np.arange(start // low, top + 1)
+    out = table + np.zeros((len(high), 1))  # +0.0, like a digit past the end, changes nothing
+    place = 1
+    while place <= top:
+        f /= base
+        out += (f * (high // place % base))[:, None]
+        place *= base
+    return out.ravel()[start % low:start % low + count]
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -> np.ndarray:
@@ -205,8 +220,7 @@ def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -
     bases = _first_primes(2 * pairs + 1)
     # disjoint index windows per seed, so different seeds share no points
     start = 1 + seed * count
-    idx = np.arange(start, start + count)
-    u = np.array([_radical_inverse(idx, b) for b in bases])  # one row per Halton dimension
+    u = np.array([_radical_inverse(start, count, b) for b in bases])  # one row per dimension
     # Box-Muller on all pairs of rows at once, each row contiguous: (2p, 2p+1) -> z's columns
     rho = np.sqrt(-2.0 * np.log(u[0:-1:2]))
     ang = 2.0 * np.pi * u[1::2]

@@ -41,6 +41,7 @@ Config file schema (defaults in parentheses):
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -337,7 +338,9 @@ def run_command(command: str, cfg: dict, args) -> None:
     report_io.write_json(paths["report"], report)
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The ``zerocert`` argument parser, built once per process on the first call."""
     parser = argparse.ArgumentParser(
         prog="zerocert",
         description="Existence certificates for zeros of residual maps, "

@@ -264,13 +264,25 @@ def test_sample_ball_points_inside_and_deterministic():
     assert not np.array_equal(pts, shifted)
 
 
+def digit_loop_radical_inverse(indices, base):
+    """The radical inverse one digit at a time over every index, stopping when all are 0."""
+    i = indices.astype(np.int64)
+    f = 1.0
+    out = np.zeros(len(i))
+    while np.any(i > 0):
+        f /= base
+        out += f * (i % base)
+        i //= base
+    return out
+
+
 def per_pair_sample_ball(center, radius, count, seed):
     """sample_ball with its Box-Muller step written as a loop over the pairs of columns."""
     n = len(center)
     pairs = (n + 1) // 2
     idx = np.arange(1 + seed * count, 1 + seed * count + count)
     bases = certificate._first_primes(2 * pairs + 1)
-    u = np.column_stack([certificate._radical_inverse(idx, b) for b in bases])
+    u = np.column_stack([digit_loop_radical_inverse(idx, b) for b in bases])
     z = np.empty((count, 2 * pairs))
     for p in range(pairs):
         rho = np.sqrt(-2.0 * np.log(u[:, 2 * p]))
@@ -290,6 +302,29 @@ def test_sample_ball_transforms_all_pairs_at_once_bit_for_bit(n, seed):
     center = np.linspace(-1.0, 2.0, n)
     pts = sample_ball(center, 0.75, 257, seed)
     assert pts.tobytes() == per_pair_sample_ball(center, 0.75, 257, seed).tobytes()
+
+
+@pytest.mark.parametrize("base", certificate._first_primes(65))
+def test_radical_inverse_from_tables_is_the_digit_loop_bit_for_bit(base):
+    # counts on both sides of each table size base**K; starts past 2**32 * count reach
+    # many digits above the table's
+    for count in sorted({1, 2, base - 1, base, base + 1, base**2 - 1, base**2 + 1,
+                         625, 1024, 4096}):
+        for start in {0, 1} | {1 + seed * count for seed in (0, 700, 2**32 - 1)}:
+            got = certificate._radical_inverse(start, count, base)
+            want = digit_loop_radical_inverse(np.arange(start, start + count), base)
+            assert got.tobytes() == want.tobytes(), (start, count)
+
+
+def test_first_primes_match_a_sieve():
+    sieve = np.ones(20000, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, int(len(sieve) ** 0.5) + 1):
+        sieve[p * p::p] = False
+    primes = np.flatnonzero(sieve).tolist()
+    assert len(primes) >= 2100
+    for k in [*range(1, 66), 513, 2049, 2100]:
+        assert certificate._first_primes(k) == primes[:k]
 
 
 def test_certify_closed_form_is_the_sweep_closed_form_at_mu_one():

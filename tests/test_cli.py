@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from zerocert import cli
+from test_golden import GOLDEN, run_case
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -676,3 +677,13 @@ def test_mu_range_hugging_zero_is_a_config_error(tmp_path, capsys, mu_min, messa
     out, err = capsys.readouterr()
     assert rc == 2 and out == "" and report is None
     assert err == f"config error: transform: {message}\n"
+
+
+def test_the_parser_is_built_once_and_survives_a_usage_error(tmp_path, capsys):
+    assert cli.make_parser() is cli.make_parser()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify"])  # --config missing
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for suffix, data in run_case("bvp10_sampled_certify", tmp_path).items():
+        assert data == (GOLDEN / f"bvp10_sampled_certify.{suffix}").read_bytes()
