@@ -169,17 +169,13 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
 
 
 def _first_primes(k: int) -> list[int]:
-    primes = [2]
-    cand = 3
+    primes: list[int] = []
+    cand = 2
     while len(primes) < k:
-        for p in primes:  # trial division up to sqrt(cand)
-            if cand % p == 0:
-                break
-            if p * p > cand:  # reached before the list ends (Bertrand's postulate)
-                primes.append(cand)
-                break
-        cand += 2
-    return primes[:k]
+        if all(cand % p for p in primes):
+            primes.append(cand)
+        cand += 1
+    return primes
 
 
 def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:

@@ -340,7 +340,10 @@ def run_command(command: str, cfg: dict, args) -> None:
 
 @functools.cache
 def make_parser() -> argparse.ArgumentParser:
-    """The ``zerocert`` argument parser, built once per process on the first call."""
+    """The ``zerocert`` argument parser, built once per process on the first call.
+
+    Only a process that calls ``main`` more than once (tests, in-process timing) reuses it;
+    the ``zerocert`` console script calls ``main`` once and builds it once either way."""
     parser = argparse.ArgumentParser(
         prog="zerocert",
         description="Existence certificates for zeros of residual maps, "

@@ -316,17 +316,6 @@ def test_radical_inverse_from_tables_is_the_digit_loop_bit_for_bit(base):
             assert got.tobytes() == want.tobytes(), (start, count)
 
 
-def test_first_primes_match_a_sieve():
-    sieve = np.ones(20000, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(len(sieve) ** 0.5) + 1):
-        sieve[p * p::p] = False
-    primes = np.flatnonzero(sieve).tolist()
-    assert len(primes) >= 2100
-    for k in [*range(1, 66), 513, 2049, 2100]:
-        assert certificate._first_primes(k) == primes[:k]
-
-
 def test_certify_closed_form_is_the_sweep_closed_form_at_mu_one():
     # |lam*x**2 - 1| is ||F(x)|| on the quadratic, including where lam*x**2 overflows
     rng = np.random.default_rng(0)
