@@ -36,6 +36,9 @@ CASES = {
     # reject_outside, each until it stalls
     "bvp16_steepest_clip_solve": ("solve", "bvp16_steepest_clip.json", "trace"),
     "quadratic_reject_solve": ("solve", "quadratic_reject.json", "trace"),
+    # the clip_to_ball null-step stall: the first step clips to the sphere, and every
+    # later trial clips back onto that iterate, so none is evaluated
+    "quadratic_clip_solve": ("solve", "quadratic_clip.json", "trace"),
 }
 
 
