@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
-from .functional import _weights, grad_of_residual, residual_norm
+from .functional import _weighted, grad_of_residual, residual_norm
 from .problems import ResidualProblem, block_rows, checked_output, residual_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
@@ -277,19 +277,19 @@ def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: Sampling
     :func:`grad_of_residual` for a problem without it.  A norm
     sqrt(sum(w * F * F)) that is infinite makes its ratio 0 or NaN: c = 0.
     """
-    w = _weights(problem)
     size = block_rows(problem)
     best = math.inf
     with np.errstate(all="ignore"):
         for start in range(0, len(points), size):
             V = points[start:start + size]
             R = np.asarray(residual_rows(problem, V), dtype=float)
-            rn = np.sqrt(np.sum(w * R * R, axis=1))
+            wR = _weighted(problem, R)
+            rn = np.sqrt(np.sum(wR * R, axis=1))
             kept = ~(rn <= cfg.residual_floor)
             if problem.vjp_batch is None:
                 G = [grad_of_residual(problem, v, r) for v, r in zip(V[kept], R[kept])]
             else:
-                G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, w * R),
+                G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, wR),
                                    (len(V), problem.n))[kept]
             ratio = np.linalg.norm(np.reshape(G, (-1, problem.n)), axis=1) / rn[kept]
             if not np.isfinite(ratio).all():

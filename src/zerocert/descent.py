@@ -17,7 +17,8 @@ import numpy as np
 
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
-from .functional import _weights, grad_of_residual, norm_of_residual, phi_of_residual, residual_norm
+from .functional import (_compensated_sum, _weighted, grad_of_residual, norm_of_residual,
+                         phi_of_residual, residual_norm)
 from .problems import (
     ResidualProblem,
     block_rows,
@@ -155,7 +156,7 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
             norms = _row_norms(offsets)
             inside = norms <= ball.radius
             clip = cfg.ball_policy == CLIP_TO_BALL
-            if clip:
+            if clip and not inside.all():
                 out = ~inside
                 trials[out] = ball.center + offsets[out] * (ball.radius / norms[out])[:, None]
             # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
@@ -164,11 +165,11 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
             if len(kept):
                 rows = trials if len(kept) == len(trials) else trials[kept]
                 R = np.asarray(residual_rows(problem, rows), dtype=float)
-                terms = _weights(problem) * R * R
+                terms = _weighted(problem, R) * R
                 with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
                     sums = terms.sum(axis=1)
                 for row in np.flatnonzero(~(np.isfinite(sums) & (sums > limit))):
-                    phi_trial = phi_of_residual(problem, R[row])
+                    phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
                     i = kept[row]
                     bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
@@ -196,16 +197,16 @@ def solve(
     result carries no existence guarantee.
 
     A problem with ``vjp_batch`` has its ladder evaluated in blocks of
-    trials, one batched ``residual`` call each: the first block runs down
-    to the step the previous iteration accepted, each later block is twice
-    as long, and none exceeds :func:`residual_rows`'s element bound.  The
-    first passing trial in ladder order is the one the sequential search
-    accepts, so the iterates are bit-identical to it.  Any other problem
-    evaluates one trial at a time.  A trial whose float sum of squares
-    proves phi_trial >= phi(v) is rejected without the compensated sum;
-    every other phi_trial, and so the accepted one, is that sum.  The
-    accepted trial's residual gives the next iterate's norm, phi, gradient
-    and Gauss-Newton step.
+    trials, one batched ``residual`` call each: the first block holds
+    ladder entries 0 ... 2a + 1, where a is the index the previous
+    iteration accepted, each later block is twice as long, and none exceeds
+    :func:`residual_rows`'s element bound.  The first passing trial in
+    ladder order is the one the sequential search accepts, so the iterates
+    are bit-identical to it.  Any other problem evaluates one trial at a
+    time.  A trial whose float sum of squares proves phi_trial >= phi(v) is
+    rejected without the compensated sum; every other phi_trial, and so the
+    accepted one, is that sum.  The accepted trial's residual gives the next
+    iterate's norm, phi, gradient and Gauss-Newton step.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
@@ -232,14 +233,14 @@ def solve(
             status = STATUS_STALLED
             break
 
-        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, accepted + 1)
+        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, 2 * (accepted + 1))
         if found is None:
             status = STATUS_STALLED
             break
 
         accepted, trial, r, phi_trial = found
         if trace is not None:
-            trace.append((k, phi_v, float(np.linalg.norm(g)), ladder[accepted]))
+            trace.append((k, phi_v, math.sqrt(float(g @ g)), ladder[accepted]))  # np.linalg.norm(g)
         v, phi_v, rn = trial, phi_trial, norm_of_residual(problem, r)
         k += 1
 

@@ -44,8 +44,9 @@ class GradientCheckReport:
     max_relative_error: float
 
 
-def _weights(problem: ResidualProblem) -> np.ndarray | float:
-    return 1.0 if problem.weights is None else problem.weights
+def _weighted(problem: ResidualProblem, r: np.ndarray) -> np.ndarray:
+    # r itself when unweighted: 1.0 * r would be a copy with r's bits
+    return r if problem.weights is None else problem.weights * r
 
 
 def _compensated_sum(terms) -> float:
@@ -58,7 +59,7 @@ def _compensated_sum(terms) -> float:
 
 
 def _weighted_square_sum(problem: ResidualProblem, r: np.ndarray) -> float:
-    return _compensated_sum((_weights(problem) * r * r).tolist())
+    return _compensated_sum((_weighted(problem, r) * r).tolist())
 
 
 def norm_of_residual(problem: ResidualProblem, r: np.ndarray) -> float:
@@ -94,7 +95,7 @@ def phi(problem: ResidualProblem, v) -> float:
 
 def grad_of_residual(problem: ResidualProblem, v, r: np.ndarray) -> np.ndarray:
     """Gradient of phi at v for its residual vector r = F(v), as :func:`grad_phi` reports it."""
-    return eval_jacobian(problem, v).T @ (_weights(problem) * r)
+    return eval_jacobian(problem, v).T @ _weighted(problem, r)
 
 
 def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
@@ -106,7 +107,7 @@ def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> np.ndarray:
     # reference values for differencing, accumulated in extended precision;
     # built-in residuals propagate the wider dtype, others degrade gracefully
     R = residual_rows(problem, V_ext)
-    return np.longdouble(0.5) * np.sum(_weights(problem) * R * R, axis=1, dtype=np.longdouble)
+    return np.longdouble(0.5) * np.sum(_weighted(problem, R) * R, axis=1, dtype=np.longdouble)
 
 
 def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:

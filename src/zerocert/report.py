@@ -53,12 +53,12 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def _cell(v) -> str:
+    if isinstance(v, (float, np.floating)):  # the common cell first: no bool is a float
+        return format_float(v)
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
     return str(v)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from zerocert import cli
+from zerocert.report import _cell
 from test_golden import GOLDEN, run_case
 
 
@@ -566,6 +567,17 @@ def test_closed_form_search_reports_an_infinite_lhs(tmp_path, capsys):
     last = strict_report(tmp_path)["transform_search"]["sweep"][-1]
     assert (last["mu"], last["lhs"], last["slack"], last["passed"]) == (1e155, "inf", "-inf", False)
     assert sweep_csv.read_text().splitlines()[-1] == "1e+155,3,inf,1.5,-inf,false"
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (np.True_, "true"), (False, "false"), (3, "3"), (np.int64(3), "3"),
+    (0.1, "0.10000000000000001"), (np.float64(0.1), "0.10000000000000001"),
+    (np.float32(0.1), "0.10000000149011612"), (float("inf"), "inf"), (float("-inf"), "-inf"),
+    (float("nan"), "nan"), (-0.0, "-0"), ("x", "x"),
+])
+def test_csv_cells_keep_their_spelling(value, text):
+    # _cell tests for a float first; np.float64 is a float, and no bool is one
+    assert _cell(value) == text
 
 
 OVERFLOW = Path(__file__).resolve().parent / "bvp_overflow.json"

@@ -85,14 +85,18 @@ def test_clip_to_ball_stalls_at_the_sphere_instead_of_taking_null_steps():
 
 def test_a_clipped_trial_equal_to_the_iterate_is_not_evaluated(monkeypatch):
     # the stalling line search clipped every trial back to the iterate 0.5: 54 of the
-    # 55 rows sent to residual_rows were that iterate, whose phi cannot pass
-    rows = []
-    original = descent.residual_rows
-    monkeypatch.setattr(descent, "residual_rows",
-                        lambda problem, V: rows.extend(V.tolist()) or original(problem, V))
+    # 55 rows sent to residual_rows were that iterate, whose phi cannot pass.  The first
+    # search's t = 1 and t = 1/2 both clip from 0.3 to 0.5, and both are evaluated
+    tried_from, rows = [], []
+    line_search, original = descent._line_search, descent.residual_rows
+    monkeypatch.setattr(descent, "_line_search", lambda problem, ball, cfg, ladder, v, *rest: (
+        tried_from.append(v.tolist()) or line_search(problem, ball, cfg, ladder, v, *rest)))
+    monkeypatch.setattr(descent, "residual_rows", lambda problem, V: (
+        rows.extend((tried_from[-1], row) for row in V.tolist()) or original(problem, V)))
     result = solve(make_quadratic(1.0), Ball(np.array([0.3]), 0.2))
     assert (result.status, result.iterations, result.u.tolist()) == ("stalled", 1, [0.5])
-    assert rows == [[0.5]]
+    assert [row for _, row in rows] == [[0.5], [0.5]]
+    assert all(row != v for v, row in rows)
 
 
 def test_gauss_newton_stops_at_the_rounding_floor():
