@@ -239,8 +239,8 @@ def solve(
             break
 
         accepted, trial, r, phi_trial = found
-        if trace is not None:
-            trace.append((k, phi_v, math.sqrt(float(g @ g)), ladder[accepted]))  # np.linalg.norm(g)
+        if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
+            trace.append((k, phi_v, math.sqrt(float(g @ g)), ladder[accepted]))
         v, phi_v, rn = trial, phi_trial, norm_of_residual(problem, r)
         k += 1
 
