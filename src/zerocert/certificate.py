@@ -266,36 +266,47 @@ def domination_constant_sampled(
     check_dimension(problem, ball)
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
     points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-    return _sampled_infimum(problem, points, cfg)
+    return _sampled_infimum(problem, points, cfg, [1.0])[0]
 
 
-def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig) -> float:
-    """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings.
+def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig,
+                     mus: list[float]) -> list[float]:
+    """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings,
+    of G(v) = F(v/mu) for each mu in ``mus`` (at mu = 1.0, F's own: v/1.0 is v).
 
-    One :func:`residual_rows` call per block of :func:`block_rows` points;
-    the gradients come from ``vjp_batch``, or one point at a time from
-    :func:`grad_of_residual` for a problem without it.  A norm
-    sqrt(sum(w * F * F)) that is infinite makes its ratio 0 or NaN: c = 0.
+    One batched pass: the rows v/mu go through :func:`residual_rows` in blocks of at most
+    ``BLOCK_ELEMENTS`` entries, each the points of several whole mu, or a run of the points
+    of one.  A row's gradient is F's divided by its mu: G's bit for bit from ``vjp_batch``;
+    without it, :func:`grad_of_residual` one point per block (so :func:`search_mu` passes G
+    and mu = 1.0).  A norm sqrt(sum(w * F * F)) that is infinite makes its ratio 0 or NaN,
+    and a ratio that is not finite gives its mu c = 0.
     """
-    size = block_rows(problem)
-    best = math.inf
+    n, count, size = problem.n, len(points), block_rows(problem)
+    per, step = max(1, size // count), min(size, count)  # mu and points of one block
+    mus = np.asarray(mus, dtype=float)[:, None, None]
+    best = np.full(len(mus), math.inf)
     with np.errstate(all="ignore"):
-        for start in range(0, len(points), size):
-            V = points[start:start + size]
-            R = np.asarray(residual_rows(problem, V), dtype=float)
-            wR = _weighted(problem, R)
-            rn = np.sqrt(np.sum(wR * R, axis=1))
-            kept = ~(rn <= cfg.residual_floor)
-            if problem.vjp_batch is None:
-                G = [grad_of_residual(problem, v, r) for v, r in zip(V[kept], R[kept])]
-            else:
-                G = checked_output(problem, "vjp_batch", problem.vjp_batch(V, wR),
-                                   (len(V), problem.n))[kept]
-            ratio = np.linalg.norm(np.reshape(G, (-1, problem.n)), axis=1) / rn[kept]
-            if not np.isfinite(ratio).all():
-                return 0.0
-            best = float(ratio.min(initial=best))
-    return cfg.safety * best if math.isfinite(best) else 0.0
+        for k in range(0, len(mus), per):
+            mu = mus[k:k + per]
+            for lo in range(0, count, step):
+                W = (points[lo:lo + step] / mu).reshape(-1, n)
+                R = np.asarray(residual_rows(problem, W), dtype=float)
+                wR = _weighted(problem, R)
+                rn = np.sqrt(np.sum(wR * R, axis=1))
+                kept = ~(rn <= cfg.residual_floor)
+                if problem.vjp_batch is None:  # one point per block
+                    G = [grad_of_residual(problem, w, r) / mu.item()
+                         for w, r in zip(W[kept], R[kept])]
+                    norms = np.linalg.norm(np.reshape(G, (-1, n)), axis=1)
+                else:
+                    G = checked_output(problem, "vjp_batch", problem.vjp_batch(W, wR), W.shape)
+                    norms = np.linalg.norm((G.reshape(len(mu), -1, n) / mu).reshape(-1, n),
+                                           axis=1)[kept]
+                ratio = np.full(len(W), math.inf)  # a point at the floor is left out
+                ratio[kept] = norms / rn[kept]
+                ratio[kept & ~np.isfinite(ratio)] = -math.inf  # which gives c = 0
+                best[k:k + per] = np.minimum(best[k:k + per], ratio.reshape(len(mu), -1).min(1))
+    return [cfg.safety * c if math.isfinite(c) else 0.0 for c in best.tolist()]
 
 
 def check_dimension(problem: ResidualProblem, ball: Ball) -> None:

@@ -312,7 +312,12 @@ def search_mu(
     For each grid mu the problem is rewritten as G = F o B^-1 with
     B(v) = mu*v and certified on the given ball.  Quadratic problems under
     the closed-form method use :func:`transformed_certificate_quadratic`;
-    otherwise the ball is sampled once for every G's sampled constant.  The
+    otherwise the ball is sampled once, and every G's sampled constant comes
+    from one batched pass of :func:`_sampled_infimum` over the rows v/mu, in
+    blocks of at most ``BLOCK_ELEMENTS`` entries, with lhs = ||F(x/mu)||.  Each
+    entry is :func:`certify` on ``recover_problem_independent(scale(mu), F)``,
+    bit for bit; only a problem without ``vjp_batch`` builds that problem, for
+    its per-point gradients.  The
     best entry maximizes slack among passing entries (ties: least distortion
     |mu - 1|, then smaller mu); when nothing passes the same ordering is
     applied to all entries.
@@ -322,21 +327,21 @@ def search_mu(
     check_method(problem, method)
     check_dimension(problem, ball)
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
-    if method == METHOD_SAMPLED:
+    mus = grid.tolist()
+    if method == METHOD_CLOSED_FORM:
+        certs = [transformed_certificate_quadratic(problem.params["lambda"], mu, ball.center[0],
+                                                   ball.radius) for mu in mus]
+    else:
         cfg = sampling or SamplingConfig()
         points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-
-    entries: list[tuple[float, Certificate]] = []
-    for mu in grid.tolist():
-        if method == METHOD_CLOSED_FORM:
-            cert = transformed_certificate_quadratic(
-                problem.params["lambda"], mu, ball.center[0], ball.radius
-            )
+        if problem.vjp_batch is None:  # J_G^T r rounds unlike (J_F^T r)/mu: G's own gradient
+            cs = [_sampled_infimum(recover_problem_independent(scale(mu), problem), points,
+                                   cfg, [1.0])[0] for mu in mus]
         else:
-            g = recover_problem_independent(scale(mu), problem)
-            cert = Certificate.judge(ball, _sampled_infimum(g, points, cfg),
-                                     residual_norm(g, ball.center), METHOD_SAMPLED, len(points))
-        entries.append((mu, cert))
+            cs = _sampled_infimum(problem, points, cfg, mus)
+        certs = [Certificate.judge(ball, c, residual_norm(problem, ball.center / mu),
+                                   METHOD_SAMPLED, len(points)) for mu, c in zip(mus, cs)]
+    entries = list(zip(mus, certs))
 
     passing = [(mu, cert) for mu, cert in entries if cert.passed]
     pool = passing if passing else entries

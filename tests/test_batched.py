@@ -12,6 +12,7 @@ Jacobian.
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -413,6 +414,92 @@ def test_sampled_sweep_draws_its_points_once(monkeypatch):
         cert = certify(recover_problem_independent(scale(point.mu), problem), ball, method, sampling)
         assert (point.c, point.lhs, point.rhs, point.passed) == (cert.c, cert.lhs, cert.rhs,
                                                                  cert.passed)
+
+
+def assert_sweep_is_certify_on_each_recovered_problem(problem, ball, mu_range, grid_size,
+                                                      sampling, spacing="linear"):
+    found = search_mu(problem, ball, mu_range, grid_size, "sampled", sampling, spacing)
+    for point in found.sweep:
+        cert = certify(recover_problem_independent(scale(point.mu), problem), ball, "sampled",
+                       sampling)
+        assert (point.c, point.lhs, point.rhs, point.slack, point.passed) == (
+            cert.c, cert.lhs, cert.rhs, cert.slack, cert.passed), point.mu
+    return found.sweep
+
+
+def floored_quadratic(nan_above=math.inf, zero_above=math.inf):
+    """F(v) = v**2 - 1 with a vjp_batch that is NaN where v > nan_above, and F = 0 where
+    v > zero_above."""
+    def residual(V):
+        return np.where(V > zero_above, 0.0, V * V - 1.0)
+
+    return ResidualProblem(name="floored", n=1, m=1, residual=residual,
+                           jacobian=lambda v: np.array([[2.0 * v[0]]]),
+                           vjp_batch=lambda V, Y: np.where(V > nan_above, np.nan, 2.0 * V * Y))
+
+
+@pytest.mark.parametrize("problem, ball, mu_range, grid_size, spa, spacing", [
+    (make_bvp(4, 1.0, "manufactured_sin"), Ball(SIN_CENTER[4], 0.3), (-2.0, 3.0), 7, 4,
+     "linear"),
+    (make_bvp(4, -1.0, "sin_pi", quadrature_weights=True), Ball(SIN_CENTER[4], 0.3),
+     (0.4, 3.0), 6, 4, "geometric"),
+    # 1024 points of dimension 10 take two blocks of at most 819 rows for every mu
+    (make_bvp(10, 1.0, "manufactured_sin"), Ball(np.zeros(10), 0.5), (0.5, 2.0), 3, 2,
+     "linear"),
+    (per_point(make_bvp(4, 1.0, "manufactured_sin")), Ball(SIN_CENTER[4], 0.3), (-2.0, 3.0), 4,
+     3, "linear"),
+], ids=["across-zero", "weighted", "mu-over-several-blocks", "without-vjp-batch"])
+def test_sampled_sweep_is_certify_on_each_recovered_problem(problem, ball, mu_range, grid_size,
+                                                           spa, spacing):
+    sweep = assert_sweep_is_certify_on_each_recovered_problem(
+        problem, ball, mu_range, grid_size, SamplingConfig(samples_per_axis=spa), spacing)
+    assert all(point.c > 0.0 for point in sweep)
+
+
+def test_a_nan_ratio_zeroes_only_its_own_mu():
+    # all three mu share one block; at mu = 0.5 the points v/mu lie in [3, 5], half past 4
+    sweep = assert_sweep_is_certify_on_each_recovered_problem(
+        floored_quadratic(nan_above=4.0), Ball(np.array([2.0]), 0.5), (0.5, 1.5), 3,
+        SamplingConfig(samples_per_axis=101))
+    assert sweep[0].c == 0.0 and sweep[1].c == 2.7 and sweep[2].c > 0.0
+
+
+def test_a_mu_with_every_point_under_the_floor_gets_c_zero():
+    # at mu = 0.5 every F(v/mu) is 0
+    sweep = assert_sweep_is_certify_on_each_recovered_problem(
+        floored_quadratic(zero_above=2.9), Ball(np.array([2.0]), 0.5), (0.5, 1.5), 3,
+        SamplingConfig(samples_per_axis=101))
+    assert sweep[0].c == 0.0 and sweep[1].c > 0.0 and sweep[2].c > 0.0
+
+
+def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
+    # 6 mu x 216 points of dimension 3 fit one block: 1 batched call, where each mu took its own
+    cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
+    blocks = []
+    original = problem.residual
+    counted = dataclasses.replace(
+        problem, residual=lambda V: blocks.extend([len(V)] * (np.ndim(V) == 2)) or original(V))
+    method, sampling = cli.build_certificate_settings(cfg, counted, cfg["seed"])
+    found = search_mu(counted, ball, method=method, sampling=sampling,
+                      **cli.build_transform_settings(cfg, True))
+    assert len(found.sweep) == 6
+    assert blocks == [6 * 216]
+
+
+def test_sampled_sweep_memory_stays_within_its_blocks():
+    # 51 mu x 20 736 points of dimension 4 as one array would take 34 MB
+    problem, ball = make_bvp(4, 1.0, "manufactured_sin"), Ball(SIN_CENTER[4], 0.3)
+    sampling = SamplingConfig(samples_per_axis=12)
+    peaks = []
+    for run in (lambda: certify(problem, ball, "sampled", sampling),
+                lambda: search_mu(problem, ball, (0.5, 3.0), 51, "sampled", sampling)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 NEWTON = {

@@ -9,8 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from zerocert import cli
-from zerocert.report import _cell
+from zerocert import SweepPoint, cli
+from zerocert.report import write_sweep_csv, write_trace_csv
 from test_golden import GOLDEN, run_case
 
 
@@ -575,9 +575,17 @@ def test_closed_form_search_reports_an_infinite_lhs(tmp_path, capsys):
     (np.float32(0.1), "0.10000000149011612"), (float("inf"), "inf"), (float("-inf"), "-inf"),
     (float("nan"), "nan"), (-0.0, "-0"), ("x", "x"),
 ])
-def test_csv_cells_keep_their_spelling(value, text):
-    # _cell tests for a float first; np.float64 is a float, and no bool is one
-    assert _cell(value) == text
+def test_csv_cells_keep_their_spelling(value, text, tmp_path):
+    # the spellings of csv.writer with one str() per cell: true/false (and any text) in a
+    # sweep's passed column, a number in every column of a trace
+    path = tmp_path / "cells.csv"
+    if isinstance(value, (bool, np.bool_, str)):
+        write_sweep_csv(path, [SweepPoint(1.0, 2.0, 3.0, 4.0, 5.0, value)])
+        cells = ["1", "2", "3", "4", "5", text]
+    else:
+        write_trace_csv(path, [(value,) * 4])
+        cells = [text] * 4
+    assert path.read_bytes().split(b"\r\n")[1:] == [",".join(cells).encode(), b""]
 
 
 OVERFLOW = Path(__file__).resolve().parent / "bvp_overflow.json"
