@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
-from .functional import _weighted, grad_of_residual, residual_norm
-from .problems import ResidualProblem, block_rows, checked_output, residual_rows
+from .functional import _weighted, residual_norm
+from .problems import ResidualProblem, block_rows, residual_rows, vjp_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
@@ -41,13 +41,15 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class Ball:
-    """Closed ball of radius r centered at x (Euclidean norm on the domain)."""
+    """Closed ball of radius r centered at the vector x (Euclidean norm on the domain)."""
 
     center: np.ndarray
     radius: float
 
     def __post_init__(self):
         center = np.atleast_1d(np.asarray(self.center, dtype=float))
+        if center.ndim != 1:
+            raise InputShapeError(f"ball center must be a vector, got shape {center.shape}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(self.radius))
         if not self.radius > 0.0:
@@ -274,12 +276,11 @@ def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: Sampling
     """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings,
     of G(v) = F(v/mu) for each mu in ``mus`` (at mu = 1.0, F's own: v/1.0 is v).
 
-    One batched pass: the rows v/mu go through :func:`residual_rows` in blocks of at most
-    ``BLOCK_ELEMENTS`` entries, each the points of several whole mu, or a run of the points
-    of one.  A row's gradient is F's divided by its mu: G's bit for bit from ``vjp_batch``;
-    without it, :func:`grad_of_residual` one point per block (so :func:`search_mu` passes G
-    and mu = 1.0).  A norm sqrt(sum(w * F * F)) that is infinite makes its ratio 0 or NaN,
-    and a ratio that is not finite gives its mu c = 0.
+    One pass: the rows v/mu go through :func:`residual_rows` and :func:`vjp_rows` in blocks
+    of :func:`block_rows` rows at most, each the points of several whole mu, or a run of the
+    points of one.  A row's gradient is F's divided by its mu.  A norm sqrt(sum(w * F * F))
+    that is infinite makes its ratio 0 or NaN, and a ratio that is not finite gives its mu
+    c = 0.
     """
     n, count, size = problem.n, len(points), block_rows(problem)
     per, step = max(1, size // count), min(size, count)  # mu and points of one block
@@ -293,18 +294,10 @@ def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: Sampling
                 R = np.asarray(residual_rows(problem, W), dtype=float)
                 wR = _weighted(problem, R)
                 rn = np.sqrt(np.sum(wR * R, axis=1))
-                kept = ~(rn <= cfg.residual_floor)
-                if problem.vjp_batch is None:  # one point per block
-                    G = [grad_of_residual(problem, w, r) / mu.item()
-                         for w, r in zip(W[kept], R[kept])]
-                    norms = np.linalg.norm(np.reshape(G, (-1, n)), axis=1)
-                else:
-                    G = checked_output(problem, "vjp_batch", problem.vjp_batch(W, wR), W.shape)
-                    norms = np.linalg.norm((G.reshape(len(mu), -1, n) / mu).reshape(-1, n),
-                                           axis=1)[kept]
-                ratio = np.full(len(W), math.inf)  # a point at the floor is left out
-                ratio[kept] = norms / rn[kept]
-                ratio[kept & ~np.isfinite(ratio)] = -math.inf  # which gives c = 0
+                G = vjp_rows(problem, W, wR).reshape(len(mu), -1, n) / mu
+                ratio = np.linalg.norm(G, axis=2).ravel() / rn
+                ratio[~np.isfinite(ratio)] = -math.inf  # which gives c = 0
+                ratio[rn <= cfg.residual_floor] = math.inf  # a point at the floor is left out
                 best[k:k + per] = np.minimum(best[k:k + per], ratio.reshape(len(mu), -1).min(1))
     return [cfg.safety * c if math.isfinite(c) else 0.0 for c in best.tolist()]
 

@@ -33,11 +33,11 @@ class ResidualProblem:
     the (k, n) array whose row i is DF(V[i])^T Y[i].  A problem that sets it
     promises that ``residual`` also maps a (k, n) array of points to the
     (k, m) array of their residuals, and that row i of ``residual(V)``
-    equals ``residual(V[i])`` bit for bit.  The sampled domination constant
-    uses both to evaluate its points in blocks; the descent line search and
-    the gradient check evaluate theirs in blocks too.  Every block is one
-    :func:`residual_rows` call of :func:`block_rows` rows at most.  Without
-    ``vjp_batch`` every point takes the per-point path.
+    equals ``residual(V[i])`` bit for bit.  The sampled domination constant,
+    the descent line search and the gradient check evaluate their points in
+    blocks of :func:`block_rows` rows, one :func:`residual_rows` call each
+    (and one :func:`vjp_rows` call for the constant).  Without ``vjp_batch``
+    a block is one row, and :func:`eval_jacobian` gives its gradient.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
     returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem
@@ -113,6 +113,14 @@ def residual_rows(problem: ResidualProblem, V: np.ndarray) -> np.ndarray:
         return checked_output(problem, "residual", problem.residual(V), (len(V), problem.m), None)
     return np.array([checked_output(problem, "residual", problem.residual(v), (problem.m,), None)
                      for v in V])
+
+
+def vjp_rows(problem: ResidualProblem, V: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """DF(V[i])^T Y[i] for each row i of the (k, n) array V and the (k, m) array Y, as a
+    (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row."""
+    if problem.vjp_batch is not None:
+        return checked_output(problem, "vjp_batch", problem.vjp_batch(V, Y), V.shape)
+    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)])
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:

@@ -313,14 +313,14 @@ def search_mu(
     B(v) = mu*v and certified on the given ball.  Quadratic problems under
     the closed-form method use :func:`transformed_certificate_quadratic`;
     otherwise the ball is sampled once, and every G's sampled constant comes
-    from one batched pass of :func:`_sampled_infimum` over the rows v/mu, in
-    blocks of at most ``BLOCK_ELEMENTS`` entries, with lhs = ||F(x/mu)||.  Each
-    entry is :func:`certify` on ``recover_problem_independent(scale(mu), F)``,
-    bit for bit; only a problem without ``vjp_batch`` builds that problem, for
-    its per-point gradients.  The
-    best entry maximizes slack among passing entries (ties: least distortion
-    |mu - 1|, then smaller mu); when nothing passes the same ordering is
-    applied to all entries.
+    from one pass of :func:`_sampled_infimum` over the rows v/mu, with
+    lhs = ||F(x/mu)||; no G is built.  A row's gradient is F's divided by mu,
+    so each entry is :func:`certify` on
+    ``recover_problem_independent(scale(mu), F)`` up to the rounding of that
+    division: bit for bit for a problem with batched hooks, and for every
+    problem when mu is a power of two.  The best entry maximizes slack among
+    passing entries (ties: least distortion |mu - 1|, then smaller mu); when
+    nothing passes the same ordering is applied to all entries.
     """
     if method is None:
         method = METHOD_CLOSED_FORM if problem.is_quadratic else METHOD_SAMPLED
@@ -334,11 +334,7 @@ def search_mu(
     else:
         cfg = sampling or SamplingConfig()
         points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-        if problem.vjp_batch is None:  # J_G^T r rounds unlike (J_F^T r)/mu: G's own gradient
-            cs = [_sampled_infimum(recover_problem_independent(scale(mu), problem), points,
-                                   cfg, [1.0])[0] for mu in mus]
-        else:
-            cs = _sampled_infimum(problem, points, cfg, mus)
+        cs = _sampled_infimum(problem, points, cfg, mus)
         certs = [Certificate.judge(ball, c, residual_norm(problem, ball.center / mu),
                                    METHOD_SAMPLED, len(points)) for mu, c in zip(mus, cs)]
     entries = list(zip(mus, certs))

@@ -41,7 +41,7 @@ from zerocert import (
     search_mu,
     solve,
 )
-from zerocert import certificate, cli, descent
+from zerocert import certificate, cli, descent, transforms
 from zerocert.functional import check_gradient
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -124,11 +124,12 @@ SAME_C = [
 ]
 
 
-def per_point_reference(problem, ball, spa, seed, floor=1e-12, safety=0.9):
-    """safety * min ||grad phi(v)|| / ||F(v)|| over the sampled points v with ||F(v)|| > floor."""
+def per_point_reference(problem, ball, spa, seed, floor=1e-12, safety=0.9, mu=1.0):
+    """safety * min ||grad phi(v/mu)|| / (|mu| ||F(v/mu)||) over the sampled points v with
+    ||F(v/mu)|| > floor: the constant of F(v/mu), F's own at mu = 1.0."""
     points = certificate._sample_points(problem, ball, spa, seed)
-    return safety * min(float(np.linalg.norm(grad_phi(problem, v))) / rn for v in points
-                        if (rn := residual_norm(problem, v)) > floor)
+    return safety * min(float(np.linalg.norm(grad_phi(problem, v / mu))) / (abs(mu) * rn)
+                        for v in points if (rn := residual_norm(problem, v / mu)) > floor)
 
 
 @pytest.mark.parametrize("name,problem,ball,spa", SAME_C, ids=[case[0] for case in SAME_C])
@@ -160,34 +161,28 @@ def test_non_finite_batch_gives_zero_on_both_paths():
     assert batched == looped == 0.0
 
 
-def test_sampled_certify_takes_no_per_point_gradient(monkeypatch):
-    # 65 536 points, all through vjp_batch: no per-point gradient and no
-    # Jacobian, where the per-point loop over all of them takes seconds
-    calls, jacobians = [], []
-    original = certificate.grad_of_residual
-    monkeypatch.setattr(certificate, "grad_of_residual",
-                        lambda p, v, r: calls.append(1) or original(p, v, r))
+def test_sampled_certify_takes_no_per_point_gradient():
+    # 65 536 points, all through vjp_batch: no Jacobian, where the per-point
+    # loop over all of them takes seconds
+    jacobians = []
     bvp = make_bvp(16, 1.0, "manufactured_sin")
     p = dataclasses.replace(bvp, jacobian=lambda v: jacobians.append(1) or bvp.jacobian(v))
     cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
     assert cert.sample_count == 65536
     assert cert.c > 0.0
-    assert calls == [] and jacobians == []
+    assert jacobians == []
 
 
-def test_user_problem_without_hooks_takes_the_per_point_path(monkeypatch):
-    calls = []
-    original = certificate.grad_of_residual
-    monkeypatch.setattr(certificate, "grad_of_residual",
-                        lambda p, v, r: calls.append(1) or original(p, v, r))
+def test_user_problem_without_hooks_takes_the_per_point_path():
+    jacobians = []
     user = ResidualProblem(
         name="user", n=1, m=1,
         residual=lambda v: np.array([v[0] ** 2 - 1.0]),
-        jacobian=lambda v: np.array([[2.0 * v[0]]]),
+        jacobian=lambda v: jacobians.append(1) or np.array([[2.0 * v[0]]]),
     )
     c = domination_constant_sampled(user, Ball(np.array([2.0]), 0.5), samples_per_axis=101)
     assert c == pytest.approx(2.7)
-    assert len(calls) == 101
+    assert len(jacobians) == 101
 
 
 def counting(problem, calls):
@@ -451,9 +446,32 @@ def floored_quadratic(nan_above=math.inf, zero_above=math.inf):
 ], ids=["across-zero", "weighted", "mu-over-several-blocks", "without-vjp-batch"])
 def test_sampled_sweep_is_certify_on_each_recovered_problem(problem, ball, mu_range, grid_size,
                                                            spa, spacing):
-    sweep = assert_sweep_is_certify_on_each_recovered_problem(
-        problem, ball, mu_range, grid_size, SamplingConfig(samples_per_axis=spa), spacing)
+    sampling = SamplingConfig(samples_per_axis=spa)
+    if problem.vjp_batch is not None:
+        sweep = assert_sweep_is_certify_on_each_recovered_problem(
+            problem, ball, mu_range, grid_size, sampling, spacing)
+    else:
+        # a row's gradient (J_F^T w F)/mu rounds like the recovered problem's
+        # (J_F (1/mu))^T w F where mu is a power of two; elsewhere it is within 1e-15
+        for mu in (-4.0, -0.5, 0.5, 2.0, 4.0):
+            assert_sweep_is_certify_on_each_recovered_problem(problem, ball, (mu, mu), 1, sampling)
+        sweep = search_mu(problem, ball, mu_range, grid_size, "sampled", sampling, spacing).sweep
+        for point in sweep:
+            reference = per_point_reference(problem, ball, spa, sampling.seed, mu=point.mu)
+            assert abs(point.c - reference) <= 1e-15 * reference, point.mu
     assert all(point.c > 0.0 for point in sweep)
+
+
+def test_sampled_sweep_without_vjp_batch_builds_no_problem_per_mu(monkeypatch):
+    built = []
+    original = transforms.recover_problem_independent
+    monkeypatch.setattr(transforms, "recover_problem_independent",
+                        lambda t, p: built.append(t) or original(t, p))
+    problem = per_point(make_bvp(4, 1.0, "manufactured_sin"))
+    found = search_mu(problem, Ball(SIN_CENTER[4], 0.3), (-2.0, 3.0), 4, "sampled",
+                      SamplingConfig(samples_per_axis=3))
+    assert len(found.sweep) == 4
+    assert built == []
 
 
 def test_a_nan_ratio_zeroes_only_its_own_mu():

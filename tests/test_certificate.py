@@ -229,6 +229,15 @@ def test_certificate_with_quadrature_weights_is_self_consistent():
     assert cert.c >= 0.0 and cert.lhs >= 0.0
 
 
+def test_ball_center_must_be_a_vector():
+    # a (1, 2) center used to make a ball of dimension 1, on which the sampled
+    # constant of the quadratic sampled around both 2 and 5 and returned 2.7
+    for center in (np.array([[2.0, 5.0]]), np.zeros((2, 2))):
+        with pytest.raises(InputShapeError, match=r"ball center must be a vector, got shape"):
+            Ball(center, 0.5)
+    assert Ball(2.0, 0.5).center.shape == (1,)
+
+
 def test_ball_requires_positive_radius():
     with pytest.raises(InvalidConfigurationError):
         Ball(np.array([0.0]), 0.0)
