@@ -36,8 +36,10 @@ class ResidualProblem:
     equals ``residual(V[i])`` bit for bit.  The sampled domination constant,
     the descent line search and the gradient check evaluate their points in
     blocks of :func:`block_rows` rows, one :func:`residual_rows` call each
-    (and one :func:`vjp_rows` call for the constant).  Without ``vjp_batch``
-    a block is one row, and :func:`eval_jacobian` gives its gradient.
+    (and one :func:`vjp_rows` call for the constant).  Every gradient of phi,
+    descent's and the gradient check's included, is a :func:`vjp_rows` call,
+    so it comes from ``vjp_batch``.  Without ``vjp_batch`` a block is one row,
+    and :func:`eval_jacobian` gives its gradient.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
     returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem
@@ -117,10 +119,12 @@ def residual_rows(problem: ResidualProblem, V: np.ndarray) -> np.ndarray:
 
 def vjp_rows(problem: ResidualProblem, V: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """DF(V[i])^T Y[i] for each row i of the (k, n) array V and the (k, m) array Y, as a
-    (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row."""
+    (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row
+    whose Y[i] is not all zero (an all-zero row gives zeros)."""
     if problem.vjp_batch is not None:
         return checked_output(problem, "vjp_batch", problem.vjp_batch(V, Y), V.shape)
-    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)])
+    return np.array([eval_jacobian(problem, v).T @ y if y.any() else np.zeros(problem.n)
+                     for v, y in zip(V, Y)])
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:
@@ -217,6 +221,8 @@ def make_bvp(
     tridiagonal: -1/h^2 off the diagonal and ``diagonal(v)`` = 2/h^2 +
     3*gamma*v^2 on it, one function that ``jacobian``, ``vjp_batch`` and
     ``newton_solve`` (a Thomas solve, whose pivots start from it) all read.
+    ``vjp_batch`` applies the same stencil to the cotangent, padded with the
+    zero boundary values as ``residual`` pads v, and builds no Jacobian.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -242,11 +248,15 @@ def make_bvp(
     def diagonal(v: np.ndarray) -> np.ndarray:
         return 2.0 * inv_h2 + 3.0 * gamma * v**2
 
+    # v with its zero boundary values, along the last axis
+    def padded(v: np.ndarray) -> np.ndarray:
+        zero = np.zeros(v.shape[:-1] + (1,))
+        return np.concatenate((zero, v, zero), axis=-1)
+
     # one stencil along the last axis, for a point (n,) and for a batch of points (k, n)
     def residual(v: np.ndarray) -> np.ndarray:
-        zero = np.zeros(v.shape[:-1] + (1,))
-        padded = np.concatenate((zero, v, zero), axis=-1)
-        second = (padded[..., :-2] - 2.0 * padded[..., 1:-1] + padded[..., 2:]) * inv_h2
+        u = padded(v)
+        second = (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) * inv_h2
         return -second + gamma * v**3 - f_vals
 
     def jacobian(v: np.ndarray) -> np.ndarray:
@@ -255,9 +265,8 @@ def make_bvp(
         jac.flat[n::n + 1] = -inv_h2  # the subdiagonal
         return jac
 
-    # the batched VJP works on rows as stencils and builds no Jacobian
     def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        neighbours = np.pad(Y, ((0, 0), (1, 1)))
+        neighbours = padded(Y)
         return diagonal(V) * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
 
     # Thomas elimination on tridiag(-1/h^2, diagonal(v), -1/h^2), in Python

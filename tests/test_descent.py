@@ -11,6 +11,7 @@ from zerocert import (
     InvalidConfigurationError,
     ResidualProblem,
     certify,
+    check_gradient,
     eval_residual,
     make_bvp,
     make_quadratic,
@@ -130,11 +131,19 @@ def test_gauss_newton_falls_back_on_a_non_finite_system(monkeypatch):
 
 
 def test_gauss_newton_on_the_bvp_builds_no_jacobian_and_calls_no_lstsq(monkeypatch):
+    # nor does steepest descent, nor the gradient check: the gradient comes from
+    # vjp_batch and the Newton step from newton_solve, so the jacobian hook never runs
     monkeypatch.setattr(np.linalg, "lstsq", fail("lstsq"))
     monkeypatch.setattr(descent, "eval_jacobian", fail("eval_jacobian"))
-    result = solve(make_bvp(64, 1.0, "manufactured_sin", quadrature_weights=True),
-                   Ball(np.zeros(64), 10.0), DescentConfig(direction="gauss_newton"))
-    assert result.status == "converged"
+    ball = Ball(np.zeros(64), 10.0)
+    for weighted in (False, True):
+        p = dataclasses.replace(make_bvp(64, 1.0, "manufactured_sin", quadrature_weights=weighted),
+                                jacobian=fail("jacobian"))
+        result = solve(p, ball, DescentConfig(direction="gauss_newton"))
+        assert result.status == "converged"
+        result = solve(p, ball, DescentConfig(max_iterations=50))
+        assert result.status == "max_iterations"
+        assert check_gradient(p, result.u).max_relative_error <= 1e-6
 
 
 def test_gauss_newton_without_newton_solve_takes_the_dense_path(monkeypatch):

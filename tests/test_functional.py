@@ -173,14 +173,37 @@ def with_jacobian_error(problem, entry, factor):
     return dataclasses.replace(problem, jacobian=jacobian)
 
 
+def with_vjp_error(problem, entry, factor):
+    """``problem`` whose ``vjp_batch`` has output entry ``entry`` of each row multiplied
+    by ``factor``."""
+    def vjp_batch(V, Y):
+        G = problem.vjp_batch(V, Y).copy()
+        G[:, entry] *= factor
+        return G
+    return dataclasses.replace(problem, vjp_batch=vjp_batch)
+
+
 @pytest.mark.parametrize("n", [64, 384])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_directional_check_passes_the_bvp_and_catches_one_wrong_entry(n, weighted):
+    # the check reads the gradient that descent takes: vjp_batch on the BVP, and the
+    # Jacobian on its twin without that hook
     p = make_bvp(n, 1.0, "manufactured_sin", quadrature_weights=weighted)
+    dense = dataclasses.replace(p, vjp_batch=None)
     k = n // 2 + 3  # outside the first 16 coordinates
-    diagonal = with_jacobian_error(p, (k, k), 1.0 + 1e-3)
-    flipped = with_jacobian_error(p, (k, k + 1), -1.0)
+    wrong = [with_jacobian_error(dense, (k, k), 1.0 + 1e-3),
+             with_jacobian_error(dense, (k, k + 1), -1.0),
+             with_vjp_error(p, k, 1.0 + 1e-3),
+             with_vjp_error(p, k, -1.0)]
     for v in np.random.default_rng(17).uniform(-1.0, 1.0, size=(20, n)):
         assert check_gradient(p, v).max_relative_error <= 1e-6
-        assert check_gradient(diagonal, v).max_relative_error > 1e-6
-        assert check_gradient(flipped, v).max_relative_error > 1e-6
+        assert check_gradient(dense, v).max_relative_error <= 1e-6
+        for problem in wrong:
+            assert check_gradient(problem, v).max_relative_error > 1e-6
+
+
+def test_gradient_check_catches_a_wrong_vjp():
+    # the check used to read the Jacobian alone, and passed this VJP at 2.4e-12
+    p = make_bvp(8, 1.0, "manufactured_sin")
+    halved = dataclasses.replace(p, vjp_batch=lambda V, Y: 0.5 * p.vjp_batch(V, Y))
+    assert check_gradient(halved, np.full(8, 0.3)).max_relative_error > 1e-6
