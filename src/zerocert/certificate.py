@@ -294,13 +294,10 @@ def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: Sampling
                 R = np.asarray(residual_rows(problem, W), dtype=float)
                 wR = _weighted(problem, R)
                 rn = np.sqrt(np.sum(wR * R, axis=1))
-                floored = rn <= cfg.residual_floor  # a point at the floor is left out, with
-                # cotangent 0: a problem without hooks builds no Jacobian there
-                G = vjp_rows(problem, W, np.where(floored[:, None], 0.0, wR))
-                G = G.reshape(len(mu), -1, n) / mu
+                G = vjp_rows(problem, W, wR).reshape(len(mu), -1, n) / mu
                 ratio = np.linalg.norm(G, axis=2).ravel() / rn
                 ratio[~np.isfinite(ratio)] = -math.inf  # which gives c = 0
-                ratio[floored] = math.inf
+                ratio[rn <= cfg.residual_floor] = math.inf  # a point at the floor is left out
                 best[k:k + per] = np.minimum(best[k:k + per], ratio.reshape(len(mu), -1).min(1))
     return [cfg.safety * c if math.isfinite(c) else 0.0 for c in best.tolist()]
 

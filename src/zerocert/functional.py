@@ -1,11 +1,9 @@
 """Least-squares functional phi(v) = ||F(v)||^2 / 2 and its gradient.
 
 The gradient is the adjoint Jacobian applied to the residual, DF(v)^T F(v)
-(with the problem's diagonal codomain weights folded in when present),
-formed in one place, :func:`problems.vjp_rows`, for descent, the sampled
-certificate and the gradient check alike.  Its global minima at value zero
-are exactly the zeros of F, which is what the certificate and descent
-modules exploit.
+(with the problem's diagonal codomain weights folded in when present).  Its
+global minima at value zero are exactly the zeros of F, which is what the
+certificate and descent modules exploit.
 """
 
 from __future__ import annotations
@@ -96,14 +94,12 @@ def phi(problem: ResidualProblem, v) -> float:
 
 
 def grad_of_residual(problem: ResidualProblem, v, r: np.ndarray) -> np.ndarray:
-    """Gradient of phi at v for its residual vector r = F(v), as :func:`grad_phi` reports it:
-    the one row of :func:`vjp_rows` at v with cotangent w * r."""
+    """Gradient of phi at v for its residual vector r = F(v): one row of :func:`vjp_rows`."""
     return vjp_rows(problem, np.asarray(v, dtype=float)[None], _weighted(problem, r)[None])[0]
 
 
 def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
-    """Gradient of phi at v, DF(v)^T (w * F(v)): the problem's ``vjp_batch`` when it has
-    one, else :func:`eval_jacobian` transposed times w * F(v)."""
+    """Gradient of phi at v, computed as DF(v)^T (w * F(v))."""
     return grad_of_residual(problem, v, eval_residual(problem, v))
 
 
@@ -117,8 +113,8 @@ def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> np.ndarray:
 def check_gradient(problem: ResidualProblem, v) -> GradientCheckReport:
     """Validate grad_phi against central differences of phi along the rows d_j of D.
 
-    grad_phi is the gradient that descent and the sampled certificate use:
-    the problem's ``vjp_batch`` when it has one, else its Jacobian.
+    grad_phi comes from :func:`vjp_rows`: for a problem with ``vjp_batch``, the
+    ``jacobian`` hook that Gauss-Newton reads without ``newton_solve`` goes unchecked.
 
     D is the identity when n <= CHECK_DIRECTIONS, so every coordinate is
     checked; above that, it is CHECK_DIRECTIONS fixed +-1 vectors that depend

@@ -35,11 +35,9 @@ class ResidualProblem:
     (k, m) array of their residuals, and that row i of ``residual(V)``
     equals ``residual(V[i])`` bit for bit.  The sampled domination constant,
     the descent line search and the gradient check evaluate their points in
-    blocks of :func:`block_rows` rows, one :func:`residual_rows` call each
-    (and one :func:`vjp_rows` call for the constant).  Every gradient of phi,
-    descent's and the gradient check's included, is a :func:`vjp_rows` call,
-    so it comes from ``vjp_batch``.  Without ``vjp_batch`` a block is one row,
-    and :func:`eval_jacobian` gives its gradient.
+    blocks of :func:`block_rows` rows, one :func:`residual_rows` call each;
+    every gradient of phi is a :func:`vjp_rows` call.  Without ``vjp_batch``
+    a block is one row, and :func:`eval_jacobian` gives its gradient.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
     returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem
@@ -119,12 +117,10 @@ def residual_rows(problem: ResidualProblem, V: np.ndarray) -> np.ndarray:
 
 def vjp_rows(problem: ResidualProblem, V: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """DF(V[i])^T Y[i] for each row i of the (k, n) array V and the (k, m) array Y, as a
-    (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row
-    whose Y[i] is not all zero (an all-zero row gives zeros)."""
+    (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row."""
     if problem.vjp_batch is not None:
         return checked_output(problem, "vjp_batch", problem.vjp_batch(V, Y), V.shape)
-    return np.array([eval_jacobian(problem, v).T @ y if y.any() else np.zeros(problem.n)
-                     for v, y in zip(V, Y)])
+    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)])
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:
@@ -221,8 +217,7 @@ def make_bvp(
     tridiagonal: -1/h^2 off the diagonal and ``diagonal(v)`` = 2/h^2 +
     3*gamma*v^2 on it, one function that ``jacobian``, ``vjp_batch`` and
     ``newton_solve`` (a Thomas solve, whose pivots start from it) all read.
-    ``vjp_batch`` applies the same stencil to the cotangent, padded with the
-    zero boundary values as ``residual`` pads v, and builds no Jacobian.
+    ``vjp_batch`` applies the same stencil to the cotangent and builds no Jacobian.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -248,8 +243,7 @@ def make_bvp(
     def diagonal(v: np.ndarray) -> np.ndarray:
         return 2.0 * inv_h2 + 3.0 * gamma * v**2
 
-    # v with its zero boundary values, along the last axis
-    def padded(v: np.ndarray) -> np.ndarray:
+    def padded(v: np.ndarray) -> np.ndarray:  # v with its zero boundary values, on the last axis
         zero = np.zeros(v.shape[:-1] + (1,))
         return np.concatenate((zero, v, zero), axis=-1)
 

@@ -35,8 +35,8 @@ from .certificate import (
     transformed_certificate_quadratic,
 )
 from .exceptions import InvalidConfigurationError
-from .functional import norm_of_residual
-from .problems import ResidualProblem, block_rows, eval_jacobian, residual_rows
+from .functional import residual_norm
+from .problems import ResidualProblem, eval_jacobian
 
 CUBIC_INVERSE_TOL = 1e-14
 ZERO_EXCLUSION_FRACTION = 1e-3  # half-width of the mu-grid hole around 0, relative
@@ -313,9 +313,8 @@ def search_mu(
     B(v) = mu*v and certified on the given ball.  Quadratic problems under
     the closed-form method use :func:`transformed_certificate_quadratic`;
     otherwise the ball is sampled once, and every G's sampled constant comes
-    from one pass of :func:`_sampled_infimum` over the rows v/mu, and every
-    lhs = ||F(x/mu)|| from :func:`residual_rows` on the rows x/mu, in blocks of
-    :func:`block_rows`; no G is built.  A row's gradient is F's divided by mu,
+    from one pass of :func:`_sampled_infimum` over the rows v/mu, with
+    lhs = ||F(x/mu)||; no G is built.  A row's gradient is F's divided by mu,
     so each entry is :func:`certify` on
     ``recover_problem_independent(scale(mu), F)`` up to the rounding of that
     division: bit for bit for a problem with batched hooks, and for every
@@ -336,11 +335,8 @@ def search_mu(
         cfg = sampling or SamplingConfig()
         points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
         cs = _sampled_infimum(problem, points, cfg, mus)
-        X, size = ball.center / grid[:, None], block_rows(problem)
-        lhs = [norm_of_residual(problem, r) for lo in range(0, len(X), size)
-               for r in np.asarray(residual_rows(problem, X[lo:lo + size]), dtype=float)]
-        certs = [Certificate.judge(ball, c, rn, METHOD_SAMPLED, len(points))
-                 for c, rn in zip(cs, lhs)]
+        certs = [Certificate.judge(ball, c, residual_norm(problem, ball.center / mu),
+                                   METHOD_SAMPLED, len(points)) for mu, c in zip(mus, cs)]
     entries = list(zip(mus, certs))
 
     passing = [(mu, cert) for mu, cert in entries if cert.passed]

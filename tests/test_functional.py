@@ -203,7 +203,7 @@ def test_directional_check_passes_the_bvp_and_catches_one_wrong_entry(n, weighte
 
 
 def test_gradient_check_catches_a_wrong_vjp():
-    # the check used to read the Jacobian alone, and passed this VJP at 2.4e-12
+    # the check reads vjp_batch, the gradient that descent and certificates use
     p = make_bvp(8, 1.0, "manufactured_sin")
     halved = dataclasses.replace(p, vjp_batch=lambda V, Y: 0.5 * p.vjp_batch(V, Y))
     assert check_gradient(halved, np.full(8, 0.3)).max_relative_error > 1e-6
