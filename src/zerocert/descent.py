@@ -128,9 +128,9 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
 
     The ladder is searched in blocks, the first of ``size`` entries, each
     later one twice as long, none longer than :func:`block_rows`; ``ladder``
-    grows by the same repeated multiplication until an entry falls below
-    STEP_UNDERFLOW.  None when no entry above it passes.  A trial whose float
-    sum of squares proves phi(trial) >= phi(v) is rejected without its
+    grows by the same repeated multiplication until its last entry falls
+    below STEP_UNDERFLOW.  None when no entry above it passes.  A trial whose
+    float sum of squares proves phi(trial) >= phi(v) is rejected without its
     compensated sum; every other trial's phi is the compensated sum.
     """
     max_rows = block_rows(problem)
@@ -145,7 +145,7 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
     while True:
         while len(ladder) < j + size and ladder[-1] >= STEP_UNDERFLOW:
             ladder.append(ladder[-1] * cfg.backtrack_factor)
-        steps = [t for t in ladder[j:j + size] if t >= STEP_UNDERFLOW]
+        steps = ladder[j:min(j + size, len(ladder) - (ladder[-1] < STEP_UNDERFLOW))]
         if not steps:
             return None
         # rows past the first passing one are speculative: they may overflow
@@ -156,21 +156,21 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
             norms = _row_norms(offsets)
             inside = norms <= ball.radius
             clip = cfg.ball_policy == CLIP_TO_BALL
-            if clip and not inside.all():
-                out = ~inside
-                trials[out] = ball.center + offsets[out] * (ball.radius / norms[out])[:, None]
+            if clip and np.count_nonzero(inside) < len(inside):
+                trials = np.where(inside[:, None], trials,
+                                  ball.center + offsets * (ball.radius / norms)[:, None])
             # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
             moved = (trials != v).any(axis=1)
-            kept = (moved if clip else moved & inside).nonzero()[0]
-            if len(kept):
-                rows = trials if len(kept) == len(trials) else trials[kept]
+            keep = moved if clip else moved & inside
+            rows = trials if np.count_nonzero(keep) == len(keep) else trials[keep]
+            if len(rows):
                 R = np.asarray(residual_rows(problem, rows), dtype=float)
                 terms = _weighted(problem, R) * R
-                with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
-                    sums = terms.sum(axis=1)
-                for row in np.flatnonzero(~(np.isfinite(sums) & (sums > limit))):
+                with contextlib.nullcontext() if len(steps) > 1 else np.errstate(over="ignore"):
+                    sums = terms.sum(axis=1)  # silent, as the compensated sum's inf is
+                for row in (~(np.isfinite(sums) & (sums > limit))).nonzero()[0]:
                     phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
-                    i = kept[row]
+                    i = row if rows is trials else keep.nonzero()[0][row]
                     bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
                         return j + int(i), trials[i], R[row], phi_trial
@@ -206,7 +206,7 @@ def solve(
     time.  A trial whose float sum of squares proves phi_trial >= phi(v) is
     rejected without the compensated sum; every other phi_trial, and so the
     accepted one, is that sum.  The accepted trial's residual gives the next
-    iterate's norm, phi, gradient and Gauss-Newton step.
+    iterate's gradient and Gauss-Newton step, and its phi the norm.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
@@ -225,10 +225,11 @@ def solve(
             break
 
         g = grad_of_residual(problem, v, r)
+        gg = float(g @ g)
         d = _gauss_newton_direction(problem, v, r) if cfg.direction == "gauss_newton" else None
-        if d is None or float(g @ d) >= 0.0:
-            d = -g
-        slope = float(g @ d)
+        slope = 0.0 if d is None else float(g @ d)
+        if slope >= 0.0:  # steepest, whose slope g @ -g is -(g @ g) bit for bit
+            d, slope = -g, -gg
         if not -math.inf < slope < 0.0:
             status = STATUS_STALLED
             break
@@ -238,10 +239,10 @@ def solve(
             status = STATUS_STALLED
             break
 
-        accepted, trial, r, phi_trial = found
         if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
-            trace.append((k, phi_v, math.sqrt(float(g @ g)), ladder[accepted]))
-        v, phi_v, rn = trial, phi_trial, norm_of_residual(problem, r)
+            trace.append((k, phi_v, math.sqrt(gg), ladder[found[0]]))
+        accepted, v, r, phi_v = found  # a normal phi is half the exact compensated sum:
+        rn = math.sqrt(2.0 * phi_v) if phi_v >= 2.0**-1022 else norm_of_residual(problem, r)
         k += 1
 
     return DescentResult(

@@ -29,15 +29,15 @@ class ResidualProblem:
     parameters of built-in families ("quadratic", "bvp") so that closed-form
     code paths can recognize them.
 
-    ``vjp_batch`` is an optional batched form: ``vjp_batch(V, Y)`` returns
-    the (k, n) array whose row i is DF(V[i])^T Y[i].  A problem that sets it
-    promises that ``residual`` also maps a (k, n) array of points to the
-    (k, m) array of their residuals, and that row i of ``residual(V)``
-    equals ``residual(V[i])`` bit for bit.  The sampled domination constant,
-    the descent line search and the gradient check evaluate their points in
-    blocks of :func:`block_rows` rows, one :func:`residual_rows` call each;
-    every gradient of phi is a :func:`vjp_rows` call.  Without ``vjp_batch``
-    a block is one row, and :func:`eval_jacobian` gives its gradient.
+    ``vjp_batch`` is an optional batched form: ``vjp_batch(V, Y)`` returns the
+    (k, n) array whose row i is DF(V[i])^T Y[i].  A problem that sets it promises
+    that ``residual`` also maps a (k, n) array of points to the (k, m) array of
+    their residuals, and that row i of ``residual(V)`` equals ``residual(V[i])``
+    bit for bit, a NaN's bits aside.  The sampled domination constant, the
+    descent line search and the gradient check evaluate their points in blocks of
+    :func:`block_rows` rows, one :func:`residual_rows` call each; every gradient
+    of phi is a :func:`vjp_rows` call.  Without ``vjp_batch`` a block is one row,
+    and :func:`eval_jacobian` gives its gradient.
 
     ``newton_solve`` is an optional linear solve: ``newton_solve(v, y)``
     returns J(v)^-1 y, the length-n vector x with DF(v) x = y.  A problem
@@ -120,7 +120,7 @@ def vjp_rows(problem: ResidualProblem, V: np.ndarray, Y: np.ndarray) -> np.ndarr
     (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row."""
     if problem.vjp_batch is not None:
         return checked_output(problem, "vjp_batch", problem.vjp_batch(V, Y), V.shape)
-    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)])
+    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)]).reshape(V.shape)
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:
@@ -211,13 +211,13 @@ def make_bvp(
     Discretizes -u''(t) + gamma*u(t)^3 = f(t) on [0, 1] with u(0) = u(1) = 0
     on N interior points t_i = i*h, h = 1/(N+1).  The residual at v is
 
-        -(v[i-1] - 2 v[i] + v[i+1])/h^2 + gamma*v[i]^3 - f(t_i)
+        -(v[i-1] - 2 v[i] + v[i+1])/h^2 + gamma*(v[i]*v[i]*v[i]) - f(t_i)
 
     with boundary values 0, so F maps R^N to R^N.  The Jacobian is
     tridiagonal: -1/h^2 off the diagonal and ``diagonal(v)`` = 2/h^2 +
     3*gamma*v^2 on it, one function that ``jacobian``, ``vjp_batch`` and
     ``newton_solve`` (a Thomas solve, whose pivots start from it) all read.
-    ``vjp_batch`` applies the same stencil to the cotangent and builds no Jacobian.
+    ``residual`` and ``vjp_batch`` take the stencil on shifted slices, no Jacobian.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -243,15 +243,17 @@ def make_bvp(
     def diagonal(v: np.ndarray) -> np.ndarray:
         return 2.0 * inv_h2 + 3.0 * gamma * v**2
 
-    def padded(v: np.ndarray) -> np.ndarray:  # v with its zero boundary values, on the last axis
-        zero = np.zeros(v.shape[:-1] + (1,))
-        return np.concatenate((zero, v, zero), axis=-1)
-
-    # one stencil along the last axis, for a point (n,) and for a batch of points (k, n)
+    # a point (n,) or points (k, n) as one flat row, whose row ends are then redone as
+    # 0.0 - 2 v[0] and left + 0.0: the padded formula's operations, signed zeros included
     def residual(v: np.ndarray) -> np.ndarray:
-        u = padded(v)
-        second = (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) * inv_h2
-        return -second + gamma * v**3 - f_vals
+        second = np.multiply(2.0, v, order="C")
+        left = np.empty_like(second)  # v[i-1] - 2 v[i]
+        flat_second, flat_left, flat_v = second.reshape(-1), left.reshape(-1), v.reshape(-1)
+        np.subtract(flat_v[:-1], flat_second[1:], out=flat_left[1:])
+        np.subtract(0.0, second[..., :1], out=left[..., :1])
+        np.add(flat_left[:-1], flat_v[1:], out=flat_second[:-1])
+        np.add(left[..., -1:], 0.0, out=second[..., -1:])
+        return -(second * inv_h2) + gamma * (v * v * v) - f_vals
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         jac = np.diag(diagonal(v))
@@ -260,8 +262,11 @@ def make_bvp(
         return jac
 
     def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        neighbours = padded(Y)
-        return diagonal(V) * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
+        neighbours, y = np.empty(Y.shape, Y.dtype), Y.reshape(-1)
+        np.add(y[:-2], y[2:], out=neighbours.reshape(-1)[1:-1])
+        np.add(0.0, Y[:, 1:2], out=neighbours[:, :1])
+        np.add(Y[:, -2:-1], 0.0, out=neighbours[:, -1:])
+        return diagonal(V) * Y - neighbours * inv_h2
 
     # Thomas elimination on tridiag(-1/h^2, diagonal(v), -1/h^2), in Python
     # floats: O(n), and an overflow or a NaN propagates without a warning

@@ -35,8 +35,8 @@ from .certificate import (
     transformed_certificate_quadratic,
 )
 from .exceptions import InvalidConfigurationError
-from .functional import residual_norm
-from .problems import ResidualProblem, eval_jacobian
+from .functional import norm_of_residual
+from .problems import ResidualProblem, eval_jacobian, residual_rows
 
 CUBIC_INVERSE_TOL = 1e-14
 ZERO_EXCLUSION_FRACTION = 1e-3  # half-width of the mu-grid hole around 0, relative
@@ -313,9 +313,9 @@ def search_mu(
     B(v) = mu*v and certified on the given ball.  Quadratic problems under
     the closed-form method use :func:`transformed_certificate_quadratic`;
     otherwise the ball is sampled once, and every G's sampled constant comes
-    from one pass of :func:`_sampled_infimum` over the rows v/mu, with
-    lhs = ||F(x/mu)||; no G is built.  A row's gradient is F's divided by mu,
-    so each entry is :func:`certify` on
+    from one pass of :func:`_sampled_infimum` over the rows v/mu, and every
+    lhs = ||F(x/mu)|| from one :func:`residual_rows` call; no G is built.  A
+    row's gradient is F's divided by mu, so each entry is :func:`certify` on
     ``recover_problem_independent(scale(mu), F)`` up to the rounding of that
     division: bit for bit for a problem with batched hooks, and for every
     problem when mu is a power of two.  The best entry maximizes slack among
@@ -335,8 +335,9 @@ def search_mu(
         cfg = sampling or SamplingConfig()
         points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
         cs = _sampled_infimum(problem, points, cfg, mus)
-        certs = [Certificate.judge(ball, c, residual_norm(problem, ball.center / mu),
-                                   METHOD_SAMPLED, len(points)) for mu, c in zip(mus, cs)]
+        R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
+        certs = [Certificate.judge(ball, c, norm_of_residual(problem, r), METHOD_SAMPLED,
+                                   len(points)) for c, r in zip(cs, R)]
     entries = list(zip(mus, certs))
 
     passing = [(mu, cert) for mu, cert in entries if cert.passed]

@@ -495,7 +495,8 @@ def test_a_mu_with_every_point_under_the_floor_gets_c_zero():
 
 
 def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
-    # 6 mu x 216 points of dimension 3 fit one block: 1 batched call, where each mu took its own
+    # 6 mu x 216 points of dimension 3 fit one block: 1 batched call, where each mu took its own;
+    # the 6 centres x/mu, whose norms are the lhs, take a second
     cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
     blocks = []
     original = problem.residual
@@ -505,7 +506,7 @@ def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
     found = search_mu(counted, ball, method=method, sampling=sampling,
                       **cli.build_transform_settings(cfg, True))
     assert len(found.sweep) == 6
-    assert blocks == [6 * 216]
+    assert blocks == [6 * 216, 6]
 
 
 def test_sampled_sweep_memory_stays_within_its_blocks():
@@ -571,3 +572,29 @@ def test_newton_solve_breaks_down_to_nan_without_a_warning(gamma, v, y):
     with np.errstate(all="raise"):
         x = p.newton_solve(np.array(v), np.array(y))
     assert x.shape == (2,) and np.isnan(x).any()
+
+
+@pytest.mark.parametrize("name", sorted(HOOKED))
+def test_sweep_lhs_is_each_centres_residual_norm_bit_for_bit(name):
+    # every lhs comes from one residual_rows call over the centres x/mu
+    p = HOOKED[name]
+    ball = Ball(np.linspace(-0.7, 0.9, p.n), 0.4)
+    sampling = SamplingConfig(samples_per_axis=3 if p.n > 1 else 31)
+    for q in (p, per_point(p)):
+        found = search_mu(q, ball, (-2.5, 3.0), 9, "sampled", sampling, spacing="geometric")
+        assert len(found.sweep) == 9
+        for entry in found.sweep:
+            assert entry.lhs == residual_norm(q, ball.center / entry.mu)
+
+
+def test_sampled_constant_takes_no_jacobian_at_floored_points():
+    # a user quadratic without hooks on B0.5(1.0): |v^2 - 1| <= 0.25 on about half the points,
+    # whose ratios the floor leaves out; each Jacobian call is one point's gradient
+    calls = []
+    q = ResidualProblem("user-quadratic", 1, 1, residual=lambda v: v * v - 1.0,
+                        jacobian=lambda v: calls.append(1) or np.array([[2.0 * v[0]]]))
+    ball, floor = Ball(np.array([1.0]), 0.5), 0.25
+    c = domination_constant_sampled(q, ball, 1001, residual_floor=floor)
+    points = np.linspace(0.5, 1.5, 1001)
+    assert len(calls) == np.count_nonzero(np.abs(points * points - 1.0) > floor) < 1001
+    assert c == domination_constant_sampled(make_quadratic(1.0), ball, 1001, residual_floor=floor)

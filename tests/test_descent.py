@@ -18,6 +18,7 @@ from zerocert import (
     pull_back_zero,
     recover_problem_independent,
     report,
+    residual_norm,
     scale,
     search_mu,
     solve,
@@ -250,3 +251,24 @@ def test_zero_slope_stalls_without_evaluating_a_trial():
     assert (result.status, result.iterations, result.residual_norm) == ("stalled", 0, 1.0)
     assert result.u.tolist() == [1.0] and result.trace == ()
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("weight", [None, 1.9])
+@pytest.mark.parametrize("start", [2.0**-500, 1.9e154])
+def test_solve_takes_the_residual_norm_of_each_iterate_bit_for_bit(start, weight):
+    # F(v) = v/2, with steepest steps toward 0.  From 2**-500, phi falls through 2**-1022,
+    # below which 2 phi is not the exact sum of squares, until the slope underflows; from
+    # 1.9e154 it starts within a factor 4 of overflow.  solve's norm is residual_norm's
+    half = ResidualProblem("half", 1, 1, residual=lambda v: 0.5 * v,
+                           jacobian=lambda v: np.array([[0.5]]),
+                           weights=None if weight is None else np.array([weight]),
+                           vjp_batch=lambda V, Y: 0.5 * Y)
+    ball = Ball(np.array([start]), start)
+    phis = []
+    for k in range(80):
+        result = solve(half, ball, DescentConfig(max_iterations=k, residual_tolerance=5e-324))
+        assert result.residual_norm == residual_norm(half, result.u)
+        phis.append(descent.phi_of_residual(half, eval_residual(half, result.u)))
+        if result.iterations < k:  # stalled
+            break
+    assert min(phis) < 2.0**-1022 < max(phis) if start < 1.0 else max(phis) > 2.0**1020

@@ -134,3 +134,76 @@ def test_problems_are_immutable():
     p = make_quadratic(1.0)
     with pytest.raises(AttributeError):
         p.n = 2
+
+
+def _padded(v):  # v with its zero boundary values on the last axis: the reference stencil's copy
+    zero = np.zeros(v.shape[:-1] + (1,))
+    return np.concatenate((zero, v, zero), axis=-1)
+
+
+def _reference_residual(v, gamma, f_vals, inv_h2):
+    u = _padded(v)
+    second = (u[..., :-2] - 2.0 * u[..., 1:-1] + u[..., 2:]) * inv_h2
+    return -second + gamma * (v * v * v) - f_vals
+
+
+def _reference_vjp(V, Y, gamma, inv_h2):
+    neighbours = _padded(Y)
+    return (2.0 * inv_h2 + 3.0 * gamma * V**2) * Y - (neighbours[:, :-2] + neighbours[:, 2:]) * inv_h2
+
+
+def assert_same_floats(a, b):
+    """a is b bit for bit, signed zeros included, except for the bits of a NaN.
+
+    Where both operands of an addition are NaN, IEEE 754 leaves open which one the sum
+    returns, and numpy's loops differ: np.add over 15 entries of +nan and -nan returns both
+    signs, by whether an entry falls in the vector body or the scalar tail.  So a NaN's sign
+    depends on its position in the array, not on its operands, and only NaN-ness is compared.
+    """
+    assert a.shape == b.shape and a.dtype == b.dtype
+    nan = np.isnan(b)
+    assert np.array_equal(np.isnan(a), nan)
+    assert np.array_equal(a[~nan], b[~nan])
+    assert np.array_equal(np.signbit(a[~nan]), np.signbit(b[~nan]))
+
+
+def _stencil_inputs(n):
+    # rows mixing signed zeros, subnormals, huge, infinite and NaN entries (either sign of NaN),
+    # with every special value at both boundary entries, next to them and in the interior
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, 1e200, -1e200, np.inf, -np.inf, np.nan,
+               -np.nan, 1.5, -2.5]
+    rng = np.random.default_rng(11)
+    rows = [np.full(n, a) for a in special]
+    rows += [rng.choice(special, size=n) for _ in range(200)]
+    rows += [rng.normal(size=n) for _ in range(20)]
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+@pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.0])
+def test_bvp_stencil_on_shifted_slices_matches_the_padded_formula(n, gamma):
+    forcing = "zero" if gamma == 0.0 else "manufactured_sin"
+    p, h = make_bvp(n, gamma, forcing), 1.0 / (n + 1)
+    f_vals, inv_h2 = bvp_forcing(forcing, gamma)(h * np.arange(1, n + 1)), 1.0 / (h * h)
+    V = _stencil_inputs(n)
+    Y = V[np.random.default_rng(12).permutation(len(V))]
+    with np.errstate(all="ignore"):
+        for X in (V, np.asfortranarray(V), V[::2], V[:, ::-1]):  # C order, F order, strided
+            assert_same_floats(p.residual(X), _reference_residual(X, gamma, f_vals, inv_h2))
+        for v in V:
+            assert_same_floats(p.residual(v), _reference_residual(v, gamma, f_vals, inv_h2))
+        for k in (0, 1, len(V)):
+            assert_same_floats(p.vjp_batch(V[:k], Y[:k]), _reference_vjp(V[:k], Y[:k], gamma, inv_h2))
+        assert_same_floats(p.vjp_batch(V, np.asfortranarray(Y)), _reference_vjp(V, Y, gamma, inv_h2))
+        # the gradient check's extended-precision rows
+        L = V.astype(np.longdouble) * np.longdouble(1 + 2.0**-60)
+        assert_same_floats(p.residual(L), _reference_residual(L, gamma, f_vals, inv_h2))
+
+
+def test_bvp_cube_is_v_times_v_times_v():
+    # two roundings, the same on every SIMD dispatch; np.power's last bit is not
+    n = 8
+    V = np.random.default_rng(3).normal(scale=3.0, size=(64, n))
+    stencil_term = make_bvp(n, 0.0).residual(V)
+    assert make_bvp(n, 1.0).residual(V).tobytes() == (stencil_term + V * V * V).tobytes()
+    assert make_bvp(n, -2.0).residual(V).tobytes() == (stencil_term + -2.0 * (V * V * V)).tobytes()
