@@ -295,9 +295,7 @@ def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: Sampling
                 wR = _weighted(problem, R)
                 rn = np.sqrt(np.sum(wR * R, axis=1))
                 keep = rn > cfg.residual_floor  # a row at the floor needs no gradient
-                G = vjp_rows(problem, W, wR) if keep.all() else np.zeros_like(W)
-                if not keep.all():  # no copy of the block where every row is kept
-                    G[keep] = vjp_rows(problem, W[keep], wR[keep])
+                G = vjp_rows(problem, W, wR) if keep.any() else np.zeros_like(W)
                 ratio = np.linalg.norm(G.reshape(len(mu), -1, n) / mu, axis=2).ravel() / rn
                 ratio[~np.isfinite(ratio)] = -math.inf  # which gives c = 0
                 ratio[rn <= cfg.residual_floor] = math.inf  # a point at the floor is left out

@@ -164,13 +164,14 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
             keep = moved if clip else moved & inside
             rows = trials if np.count_nonzero(keep) == len(keep) else trials[keep]
             if len(rows):
+                kept = range(len(rows)) if rows is trials else keep.nonzero()[0]
                 R = np.asarray(residual_rows(problem, rows), dtype=float)
                 terms = _weighted(problem, R) * R
-                with contextlib.nullcontext() if len(steps) > 1 else np.errstate(over="ignore"):
-                    sums = terms.sum(axis=1)  # silent, as the compensated sum's inf is
+                with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
+                    sums = terms.sum(axis=1)
                 for row in (~(np.isfinite(sums) & (sums > limit))).nonzero()[0]:
                     phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
-                    i = row if rows is trials else keep.nonzero()[0][row]
+                    i = kept[row]
                     bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
                         return j + int(i), trials[i], R[row], phi_trial
@@ -206,7 +207,8 @@ def solve(
     time.  A trial whose float sum of squares proves phi_trial >= phi(v) is
     rejected without the compensated sum; every other phi_trial, and so the
     accepted one, is that sum.  The accepted trial's residual gives the next
-    iterate's gradient and Gauss-Newton step, and its phi the norm.
+    iterate's gradient and Gauss-Newton step, and its phi, where above
+    2^-1022, the norm.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
@@ -241,8 +243,8 @@ def solve(
 
         if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
             trace.append((k, phi_v, math.sqrt(gg), ladder[found[0]]))
-        accepted, v, r, phi_v = found  # a normal phi is half the exact compensated sum:
-        rn = math.sqrt(2.0 * phi_v) if phi_v >= 2.0**-1022 else norm_of_residual(problem, r)
+        accepted, v, r, phi_v = found  # above 2^-1022, phi is exactly half the sum of squares:
+        rn = math.sqrt(2.0 * phi_v) if phi_v > 2.0**-1022 else norm_of_residual(problem, r)
         k += 1
 
     return DescentResult(

@@ -120,7 +120,7 @@ def vjp_rows(problem: ResidualProblem, V: np.ndarray, Y: np.ndarray) -> np.ndarr
     (k, n) array: one ``vjp_batch`` call, or, without it, one :func:`eval_jacobian` per row."""
     if problem.vjp_batch is not None:
         return checked_output(problem, "vjp_batch", problem.vjp_batch(V, Y), V.shape)
-    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)]).reshape(V.shape)
+    return np.array([eval_jacobian(problem, v).T @ y for v, y in zip(V, Y)])
 
 
 def finite_difference_jacobian(problem: ResidualProblem, v) -> np.ndarray:

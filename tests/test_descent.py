@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -272,3 +273,18 @@ def test_solve_takes_the_residual_norm_of_each_iterate_bit_for_bit(start, weight
         if result.iterations < k:  # stalled
             break
     assert min(phis) < 2.0**-1022 < max(phis) if start < 1.0 else max(phis) > 2.0**1020
+
+
+def test_solve_takes_the_residual_norm_where_half_the_sum_rounds_up_to_2_pow_minus_1022():
+    # The accepted trial's weighted sum of squares is S = 2**-1021 - 2**-1074 exactly, the
+    # largest double below 2**-1021: 0.5 * S is a tie that rounds to 2**-1022, and
+    # sqrt(2 * phi) would be one ulp above residual_norm's sqrt(S)
+    S = 2.0**-1021 - 2.0**-1074
+    w = S / 2.0**-1022  # 2 - 2**-52, so that w * (2**-511)**2 == S
+    step = ResidualProblem("step", 1, 1,
+                           residual=lambda v: np.array([1.0 if v[0] == 1.0 else 2.0**-511]),
+                           jacobian=lambda v: np.array([[1.0]]), weights=np.array([w]))
+    result = solve(step, Ball(np.array([1.0]), 2.0), DescentConfig(max_iterations=1))
+    assert result.iterations == 1 and result.u.tolist() != [1.0]
+    assert 0.5 * S == descent.phi_of_residual(step, eval_residual(step, result.u)) == 2.0**-1022
+    assert result.residual_norm == residual_norm(step, result.u) == math.sqrt(S)
