@@ -9,7 +9,6 @@ policy.  Every failure mode is a status, not an exception.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -17,16 +16,10 @@ import numpy as np
 
 from .certificate import Ball
 from .exceptions import InvalidConfigurationError
-from .functional import (_compensated_sum, _weighted, grad_of_residual, norm_of_residual,
-                         phi_of_residual, residual_norm)
-from .problems import (
-    ResidualProblem,
-    block_rows,
-    checked_output,
-    eval_jacobian,
-    eval_residual,
-    residual_rows,
-)
+from .functional import (_compensated_sum, _weighted, norm_of_residual, phi_of_residual,
+                         residual_norm)
+from .problems import (ResidualProblem, block_rows, checked_output, eval_jacobian, eval_residual,
+                       residual_rows, vjp_rows)
 
 STEP_UNDERFLOW = 1e-16
 CONTAINMENT_TOL = 1e-12
@@ -65,8 +58,8 @@ class DescentConfig:
             raise InvalidConfigurationError("residual_tolerance must be positive")
         if self.max_iterations < 0:
             raise InvalidConfigurationError("max_iterations must be nonnegative")
-        if not self.initial_step > 0.0:
-            raise InvalidConfigurationError("initial_step must be positive")
+        if not STEP_UNDERFLOW <= self.initial_step < math.inf:  # else no step, or no end
+            raise InvalidConfigurationError(f"initial_step must lie in [{STEP_UNDERFLOW:g}, inf)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise InvalidConfigurationError("backtrack_factor must lie in (0, 1)")
         if not 0.0 < self.sufficient_decrease < 1.0:
@@ -121,44 +114,63 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: list,
+class _Ladder:
+    """initial_step * backtrack_factor^j, one product after another, as the array ``steps``."""
+
+    def __init__(self, steps):
+        self.steps = np.array(steps, dtype=float)
+
+    def reach(self, count: int, factor: float):
+        """Grow, doubling, to ``count`` entries or more, or to the first below STEP_UNDERFLOW."""
+        if len(self.steps) < count and self.steps[-1] >= STEP_UNDERFLOW:
+            new = np.full(max(count, 2 * len(self.steps)) - len(self.steps) + 1, factor)
+            new[0] = self.steps[-1]
+            new = np.multiply.accumulate(new)[1:]  # non-increasing, as 0 < factor < 1
+            self.steps = np.append(self.steps, new[:np.count_nonzero(new >= STEP_UNDERFLOW) + 1])
+
+
+def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: _Ladder | list,
                  v: np.ndarray, d: np.ndarray, slope: float, phi_v: float,
                  size: int) -> tuple | None:
     """The first ladder entry whose trial passes, as (index, trial, F(trial), phi(trial)).
 
     The ladder is searched in blocks, the first of ``size`` entries, each
-    later one twice as long, none longer than :func:`block_rows`; ``ladder``
-    grows by the same repeated multiplication until its last entry falls
-    below STEP_UNDERFLOW.  None when no entry above it passes.  A trial whose
-    float sum of squares proves phi(trial) >= phi(v) is rejected without its
-    compensated sum; every other trial's phi is the compensated sum.
+    later one twice as long, none longer than :func:`block_rows`; a list that
+    is not a :class:`_Ladder` is copied into one.  None when no entry above
+    STEP_UNDERFLOW passes.  A trial whose float sum of squares is NaN, infinite
+    or proves phi(trial) >= phi(v) is rejected without its compensated sum;
+    every other trial's phi is the compensated sum.  Rows past the first
+    passing one are speculative, so the search runs under one np.errstate:
+    they may overflow where the sequential ladder would never evaluate them.
     """
+    ladder = ladder if isinstance(ladder, _Ladder) else _Ladder(ladder)
     max_rows = block_rows(problem)
     size = min(size, max_rows)
     # A row is skipped soundly: the float sum S of its m nonnegative terms has |S - E| <=
     # gamma_{m-1} E <= 2(m-1)u E, u = 2^-53, for their exact sum E (Higham 2002, 4.2; an
     # addition below 2^-1022 is exact).  1 + 8mu is exact, and limit >= 2 phi_v (1 + 8mu)(1 - u)
     # >= 2 phi_v (1 + 2(m-1)u) while normal; below 2^-1022, limit >= 2 phi_v and S is exact or
-    # >= 2^-1022 > 2 phi_v (1 + 8mu).  So S > limit gives E > 2 phi_v: fsum / 2 >= phi_v.
+    # >= 2^-1022 > 2 phi_v (1 + 8mu).  So S > limit gives E > 2 phi_v: fsum / 2 >= phi_v.  The
+    # bound holds where a partial sum overflows too; an infinite or NaN term gives fsum inf or NaN.
     limit = 2.0 * phi_v * (1.0 + 4 * problem.m * 2.0**-52)
+    clip = cfg.ball_policy == CLIP_TO_BALL
     j = 0
-    while True:
-        while len(ladder) < j + size and ladder[-1] >= STEP_UNDERFLOW:
-            ladder.append(ladder[-1] * cfg.backtrack_factor)
-        steps = ladder[j:min(j + size, len(ladder) - (ladder[-1] < STEP_UNDERFLOW))]
-        if not steps:
-            return None
-        # rows past the first passing one are speculative: they may overflow
-        # where the sequential ladder would never have evaluated them
-        with np.errstate(all="ignore") if len(steps) > 1 else contextlib.nullcontext():
-            trials = v + np.array(steps)[:, None] * d
+    with np.errstate(all="ignore"):
+        while True:
+            ladder.reach(j + size, cfg.backtrack_factor)
+            steps = ladder.steps
+            stop = min(j + size, len(steps) - int(steps[-1] < STEP_UNDERFLOW))
+            if stop <= j:
+                return None
+            trials = v + steps[j:stop, None] * d
             offsets = trials - ball.center
             norms = _row_norms(offsets)
             inside = norms <= ball.radius
-            clip = cfg.ball_policy == CLIP_TO_BALL
             if clip and np.count_nonzero(inside) < len(inside):
-                trials = np.where(inside[:, None], trials,
-                                  ball.center + offsets * (ball.radius / norms)[:, None])
+                offsets *= (ball.radius / norms)[:, None]
+                offsets += ball.center
+                np.copyto(offsets, trials, where=inside[:, None])
+                trials = offsets
             # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
             moved = (trials != v).any(axis=1)
             keep = moved if clip else moved & inside
@@ -167,16 +179,14 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
                 kept = range(len(rows)) if rows is trials else keep.nonzero()[0]
                 R = np.asarray(residual_rows(problem, rows), dtype=float)
                 terms = _weighted(problem, R) * R
-                with np.errstate(over="ignore"):  # silent, as the compensated sum's inf is
-                    sums = terms.sum(axis=1)
-                for row in (~(np.isfinite(sums) & (sums > limit))).nonzero()[0]:
+                for row in (terms.sum(axis=1) <= limit).nonzero()[0]:
                     phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
                     i = kept[row]
-                    bound = phi_v + cfg.sufficient_decrease * steps[i] * slope
+                    bound = phi_v + cfg.sufficient_decrease * steps[j + i] * slope
                     if phi_trial < phi_v and phi_trial <= bound:
                         return j + int(i), trials[i], R[row], phi_trial
-        j += len(steps)
-        size = min(2 * size, max_rows)
+            j = stop
+            size = min(2 * size, max_rows)
 
 
 def solve(
@@ -204,57 +214,55 @@ def solve(
     :func:`residual_rows`'s element bound.  The first passing trial in
     ladder order is the one the sequential search accepts, so the iterates
     are bit-identical to it.  Any other problem evaluates one trial at a
-    time.  A trial whose float sum of squares proves phi_trial >= phi(v) is
-    rejected without the compensated sum; every other phi_trial, and so the
-    accepted one, is that sum.  The accepted trial's residual gives the next
-    iterate's gradient and Gauss-Newton step, and its phi, where above
-    2^-1022, the norm.
+    time.  A trial whose float sum of squares is NaN, infinite or proves
+    phi_trial >= phi(v) is rejected without the compensated sum; every
+    other phi_trial, and so the accepted one, is that sum.  The accepted
+    trial's residual gives the next iterate's gradient and Gauss-Newton
+    step, and its phi, where above 2^-1022, the norm.  Everything runs under
+    np.errstate, entered once per solve and once per line search: an
+    overflow or a NaN is a value that ends in a status, never a warning.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
     trace: list[tuple] | None = [] if record_trace else None
-    ladder = [cfg.initial_step]
+    ladder = _Ladder([cfg.initial_step])
     accepted = 0  # the ladder index of the last accepted step
 
     k = 0
-    r = eval_residual(problem, v)
-    rn = norm_of_residual(problem, r)
-    phi_v = phi_of_residual(problem, r)
     status = STATUS_CONVERGED
-    while not rn <= cfg.residual_tolerance:  # a NaN norm has not converged
-        if k >= cfg.max_iterations:
-            status = STATUS_MAX_ITERATIONS
-            break
+    with np.errstate(all="ignore"):  # an overflow or a NaN is a value, and then a status
+        r = eval_residual(problem, v)
+        rn = norm_of_residual(problem, r)
+        phi_v = phi_of_residual(problem, r)
+        while not rn <= cfg.residual_tolerance:  # a NaN norm has not converged
+            if k >= cfg.max_iterations:
+                status = STATUS_MAX_ITERATIONS
+                break
 
-        g = grad_of_residual(problem, v, r)
-        gg = float(g @ g)
-        d = _gauss_newton_direction(problem, v, r) if cfg.direction == "gauss_newton" else None
-        slope = 0.0 if d is None else float(g @ d)
-        if slope >= 0.0:  # steepest, whose slope g @ -g is -(g @ g) bit for bit
-            d, slope = -g, -gg
-        if not -math.inf < slope < 0.0:
-            status = STATUS_STALLED
-            break
+            g = vjp_rows(problem, v[None], _weighted(problem, r)[None])[0]
+            gg = float(g @ g)
+            d = _gauss_newton_direction(problem, v, r) if cfg.direction == "gauss_newton" else None
+            slope = 0.0 if d is None else float(g @ d)
+            if slope >= 0.0:  # steepest, whose slope g @ -g is -(g @ g) bit for bit
+                d, slope = -g, -gg
+            if not -math.inf < slope < 0.0:
+                status = STATUS_STALLED
+                break
 
-        found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, 2 * (accepted + 1))
-        if found is None:
-            status = STATUS_STALLED
-            break
+            found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, 2 * (accepted + 1))
+            if found is None:
+                status = STATUS_STALLED
+                break
 
-        if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
-            trace.append((k, phi_v, math.sqrt(gg), ladder[found[0]]))
-        accepted, v, r, phi_v = found  # above 2^-1022, phi is exactly half the sum of squares:
-        rn = math.sqrt(2.0 * phi_v) if phi_v > 2.0**-1022 else norm_of_residual(problem, r)
-        k += 1
+            if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
+                trace.append((k, phi_v, math.sqrt(gg), float(ladder.steps[found[0]])))
+            accepted, v, r, phi_v = found  # above 2^-1022, phi is exactly half the sum of squares:
+            rn = math.sqrt(2.0 * phi_v) if phi_v > 2.0**-1022 else norm_of_residual(problem, r)
+            k += 1
 
-    return DescentResult(
-        u=v,
-        residual_norm=rn,
-        iterations=k,
-        in_ball=ball.contains(v, tol=CONTAINMENT_TOL),
-        status=status,
-        trace=tuple(trace) if trace is not None else None,
-    )
+        return DescentResult(u=v, residual_norm=rn, iterations=k,
+                             in_ball=ball.contains(v, tol=CONTAINMENT_TOL), status=status,
+                             trace=tuple(trace) if trace is not None else None)
 
 
 def verify_solution(problem: ResidualProblem, u, ball: Ball, tolerance: float) -> bool:

@@ -93,14 +93,10 @@ def phi(problem: ResidualProblem, v) -> float:
     return phi_of_residual(problem, eval_residual(problem, v))
 
 
-def grad_of_residual(problem: ResidualProblem, v, r: np.ndarray) -> np.ndarray:
-    """Gradient of phi at v for its residual vector r = F(v): one row of :func:`vjp_rows`."""
-    return vjp_rows(problem, np.asarray(v, dtype=float)[None], _weighted(problem, r)[None])[0]
-
-
 def grad_phi(problem: ResidualProblem, v) -> np.ndarray:
-    """Gradient of phi at v, computed as DF(v)^T (w * F(v))."""
-    return grad_of_residual(problem, v, eval_residual(problem, v))
+    """Gradient of phi at v, computed as DF(v)^T (w * F(v)): one row of :func:`vjp_rows`."""
+    v = np.asarray(v, dtype=float)
+    return vjp_rows(problem, v[None], _weighted(problem, eval_residual(problem, v))[None])[0]
 
 
 def _phi_references(problem: ResidualProblem, V_ext: np.ndarray) -> np.ndarray:

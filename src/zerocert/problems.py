@@ -240,8 +240,9 @@ def make_bvp(
         )
     inv_h2 = 1.0 / (h * h)
 
-    def diagonal(v: np.ndarray) -> np.ndarray:
-        return 2.0 * inv_h2 + 3.0 * gamma * v**2
+    def diagonal(v: np.ndarray) -> np.ndarray:  # in place on v * v, in its dtype
+        out = v * v
+        return np.add(np.multiply(out, 3.0 * gamma, out=out), 2.0 * inv_h2, out=out)
 
     # a point (n,) or points (k, n) as one flat row, whose row ends are then redone as
     # 0.0 - 2 v[0] and left + 0.0: the padded formula's operations, signed zeros included
@@ -253,7 +254,10 @@ def make_bvp(
         np.subtract(0.0, second[..., :1], out=left[..., :1])
         np.add(flat_left[:-1], flat_v[1:], out=flat_second[:-1])
         np.add(left[..., -1:], 0.0, out=second[..., -1:])
-        return -(second * inv_h2) + gamma * (v * v * v) - f_vals
+        cube = v * v  # then, in place: -(second * inv_h2) + gamma * (v * v * v) - f_vals
+        np.multiply(np.multiply(cube, v, out=cube), gamma, out=cube)
+        np.add(np.multiply(second, -inv_h2, out=second), cube, out=second)
+        return np.subtract(second, f_vals, out=second)
 
     def jacobian(v: np.ndarray) -> np.ndarray:
         jac = np.diag(diagonal(v))
@@ -266,7 +270,9 @@ def make_bvp(
         np.add(y[:-2], y[2:], out=neighbours.reshape(-1)[1:-1])
         np.add(0.0, Y[:, 1:2], out=neighbours[:, :1])
         np.add(Y[:, -2:-1], 0.0, out=neighbours[:, -1:])
-        return diagonal(V) * Y - neighbours * inv_h2
+        out = diagonal(V)
+        out *= Y  # then - neighbours * inv_h2, in place
+        return np.subtract(out, np.multiply(neighbours, inv_h2, out=neighbours), out=out)
 
     # Thomas elimination on tridiag(-1/h^2, diagonal(v), -1/h^2), in Python
     # floats: O(n), and an overflow or a NaN propagates without a warning

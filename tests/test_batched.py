@@ -396,6 +396,26 @@ def test_a_one_row_block_whose_sum_of_squares_overflows_writes_no_warning():
     assert found is None
 
 
+def test_non_finite_rows_of_a_block_never_reach_the_compensated_sum(monkeypatch):
+    # from v = 0 along d = 1 on the ladder 1, 0.75, 0.5625, ...: F is NaN at the first
+    # trial and inf at the second, and the third is the first to pass.  The screen's one
+    # comparison rejects both non-finite rows, in a block and one trial at a time alike
+    p = ResidualProblem(name="edges", n=1, m=1,
+                        residual=lambda V: np.where(V > 0.9, np.nan,
+                                                    np.where(V > 0.6, np.inf, V - 0.3)),
+                        jacobian=lambda v: np.eye(1), vjp_batch=lambda V, Y: 1.0 * Y)
+    summed, fsum = [], math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: summed.append(terms) or fsum(terms))
+    args = (p, Ball(np.zeros(1), 2.0), DescentConfig(backtrack_factor=0.75), [1.0],
+            np.zeros(1), np.ones(1), -0.3, 0.045, 4)
+    found = descent._line_search(*args)
+    monkeypatch.setattr(descent, "block_rows", lambda problem: 1)
+    sequential = descent._line_search(*args)
+    assert found[0] == sequential[0] == 2
+    assert found[3] == sequential[3] == 0.5 * (0.5625 - 0.3) ** 2
+    assert summed == [[(0.5625 - 0.3) ** 2]] * 2
+
+
 def test_sampled_sweep_draws_its_points_once(monkeypatch):
     # every mu is judged on the same points, as certify on its recovered problem judges it;
     # drawing them for every mu called sample_ball 6 times

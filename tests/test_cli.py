@@ -104,6 +104,7 @@ def test_wrong_center_dimension_is_a_config_error(tmp_path, capsys):
     ("transform", "spacing", "cubic"),
     ("transform", "grid_size", 0),
     ("descent", "backtrack_factor", 2.0),
+    ("descent", "initial_step", 1e-20),  # used to stall at iteration 0 without a trial
     ("descent", "ball_policy", "bounce"),
 ])
 def test_out_of_range_values_are_config_errors_naming_section_and_key(

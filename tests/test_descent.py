@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -234,6 +235,46 @@ def test_descent_config_validation():
         DescentConfig(direction="newton")
 
 
+@pytest.mark.parametrize("step", [math.inf, -math.inf, math.nan, 0.0, 1e-20,
+                                  np.nextafter(descent.STEP_UNDERFLOW, 0.0)])
+def test_descent_config_rejects_an_initial_step_whose_ladder_tries_nothing_or_never_ends(step):
+    # an infinite first step made every ladder entry inf, and solve never returned; one
+    # below 1e-16 stalled at iteration 0 without a trial, even on a ball that holds a zero
+    with pytest.raises(InvalidConfigurationError, match="initial_step"):
+        DescentConfig(initial_step=step)
+
+
+def test_the_smallest_initial_step_takes_steps():
+    # F = 1e15 u^2 - 1 at 4e-8, with its zero at 3.16e-8: the gradient 4.8e7 moves u by
+    # 4.8e-9 at the step 1e-16, and phi falls at every iteration
+    cfg = DescentConfig(initial_step=descent.STEP_UNDERFLOW, max_iterations=3)
+    result = solve(make_quadratic(1e15), Ball(np.array([4e-8]), 1e-8), cfg, record_trace=True)
+    assert result.iterations == 3 and result.status == "max_iterations"
+    assert [row[3] for row in result.trace] == [descent.STEP_UNDERFLOW] * 3
+
+
+def test_the_ladder_doubles_and_stops_at_its_first_entry_below_the_underflow():
+    ladder = descent._Ladder([1.0])
+    ladder.reach(3, 0.5)
+    assert ladder.steps.tolist() == [1.0, 0.5, 0.25]
+    ladder.reach(4, 0.5)  # twice the length it had
+    assert ladder.steps.tolist() == [0.5**j for j in range(6)]
+    ladder.reach(1000, 0.5)
+    assert len(ladder.steps) == 55
+    assert ladder.steps[-2] >= descent.STEP_UNDERFLOW > ladder.steps[-1]
+
+
+@pytest.mark.parametrize("factor", [0.5, 0.3, 0.9999, 1.0 - 2.0**-40])
+def test_the_ladder_is_the_repeated_product(factor):
+    # the products as Python floats take them, to the first one below STEP_UNDERFLOW
+    expected = [0.7]
+    while expected[-1] >= descent.STEP_UNDERFLOW and len(expected) < 500_000:
+        expected.append(expected[-1] * factor)
+    ladder = descent._Ladder([0.7])
+    ladder.reach(len(expected), factor)
+    assert ladder.steps[:len(expected)].tolist() == expected
+
+
 def test_result_serializes():
     result = solve(make_quadratic(1.0), Ball(np.array([1.2]), 0.5))
     d = json.loads(report.dumps(result))
@@ -288,3 +329,26 @@ def test_solve_takes_the_residual_norm_where_half_the_sum_rounds_up_to_2_pow_min
     assert result.iterations == 1 and result.u.tolist() != [1.0]
     assert 0.5 * S == descent.phi_of_residual(step, eval_residual(step, result.u)) == 2.0**-1022
     assert result.residual_norm == residual_norm(step, result.u) == math.sqrt(S)
+
+
+@pytest.mark.parametrize("direction", ["steepest", "gauss_newton"])
+@pytest.mark.parametrize("hooks", [True, False])
+def test_solve_writes_no_warning_on_an_overflowing_centre(direction, hooks):
+    # F overflows at this centre: solve returned its status, but numpy's overflow
+    # warnings escaped it, and raised where warnings are errors
+    p = make_bvp(4, 1.0)
+    if not hooks:
+        p = dataclasses.replace(p, vjp_batch=None, newton_solve=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = solve(p, Ball(np.full(4, 1e160), 0.5), DescentConfig(direction=direction))
+    assert result.status == "stalled" and result.iterations == 0
+
+
+def test_solve_enters_one_errstate_per_iteration(monkeypatch):
+    # one for the whole solve and one for each line search, the stall's included
+    entries, errstate = [], np.errstate
+    monkeypatch.setattr(np, "errstate", lambda **kw: entries.append(1) or errstate(**kw))
+    result = solve(make_bvp(16, 1.0, "manufactured_sin"), Ball(np.zeros(16), 0.5))
+    assert result.status == "stalled" and result.iterations == 293
+    assert len(entries) == result.iterations + 2
