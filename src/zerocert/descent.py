@@ -22,6 +22,7 @@ from .problems import (ResidualProblem, block_rows, checked_output, eval_jacobia
                        residual_rows, vjp_rows)
 
 STEP_UNDERFLOW = 1e-16
+MAX_LADDER = 10**6  # steps from initial_step to the first below STEP_UNDERFLOW: 8 MB
 CONTAINMENT_TOL = 1e-12
 
 STATUS_CONVERGED = "converged"
@@ -62,6 +63,12 @@ class DescentConfig:
             raise InvalidConfigurationError(f"initial_step must lie in [{STEP_UNDERFLOW:g}, inf)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise InvalidConfigurationError("backtrack_factor must lie in (0, 1)")
+        ladder = math.floor((math.log(STEP_UNDERFLOW) - math.log(self.initial_step))
+                            / math.log(self.backtrack_factor)) + 2
+        if ladder > MAX_LADDER:  # a stall would grow the ladder until memory runs out
+            raise InvalidConfigurationError(
+                f"backtrack_factor {self.backtrack_factor!r} needs {ladder} steps from "
+                f"initial_step down to {STEP_UNDERFLOW:g}, more than {MAX_LADDER}")
         if not 0.0 < self.sufficient_decrease < 1.0:
             raise InvalidConfigurationError("sufficient_decrease must lie in (0, 1)")
         if self.ball_policy not in (CLIP_TO_BALL, REJECT_OUTSIDE):

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -104,6 +105,7 @@ def test_wrong_center_dimension_is_a_config_error(tmp_path, capsys):
     ("transform", "spacing", "cubic"),
     ("transform", "grid_size", 0),
     ("descent", "backtrack_factor", 2.0),
+    ("descent", "backtrack_factor", 1.0 - 2.0**-52),  # its ladder used to grow out of memory
     ("descent", "initial_step", 1e-20),  # used to stall at iteration 0 without a trial
     ("descent", "ball_policy", "bounce"),
 ])
@@ -378,6 +380,21 @@ def test_unwritable_report_is_a_runtime_error(tmp_path, capsys):
                    "--report", str(tmp_path / "no_such_dir" / "report.json")])
     assert rc == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("flag", ["--report", "--sweep-csv"])
+def test_an_output_path_that_cannot_be_opened_exits_3_with_its_errno(tmp_path, capsys, where, flag):
+    cfg = {**QUAD_FAIL, "transform": {"mu_min": 0.5, "mu_max": 3.0, "grid_size": 3}}
+    path = tmp_path / "out" if where == "directory" else tmp_path / "no_such_dir" / "out"
+    code = errno.EISDIR if where == "directory" else errno.ENOENT
+    if where == "directory":
+        path.mkdir()
+    # a flag given twice takes its last value, so the path replaces the report or joins it
+    rc = cli.main(["search", "--config", write_config(tmp_path, cfg),
+                   "--report", str(tmp_path / "report.json"), flag, str(path)])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: [Errno {code}] {os.strerror(code)}: {str(path)!r}\n"
 
 
 def test_selftest_passes_and_prints_suites(capsys):

@@ -244,6 +244,22 @@ def test_descent_config_rejects_an_initial_step_whose_ladder_tries_nothing_or_ne
         DescentConfig(initial_step=step)
 
 
+@pytest.mark.parametrize("factor, step", [(1.0 - 2.0**-52, 1.0), (0.99999, 1.0), (0.9999, 1e300)])
+def test_descent_config_rejects_a_ladder_too_long_to_keep(factor, step):
+    # 1 - 2**-52 needs about 1.7e17 steps to reach 1e-16, so a stall grew the ladder
+    # until memory ran out; only the config is built here, no stall is run
+    with pytest.raises(InvalidConfigurationError, match="backtrack_factor .* more than 1000000"):
+        DescentConfig(initial_step=step, backtrack_factor=factor)
+
+
+def test_a_long_ladder_within_the_bound_is_allowed():
+    # 0.9999 from 1 takes 368397 steps down to the first below 1e-16, the count the bound takes
+    cfg = DescentConfig(backtrack_factor=0.9999)
+    ladder = descent._Ladder([cfg.initial_step])
+    ladder.reach(descent.MAX_LADDER, cfg.backtrack_factor)
+    assert len(ladder.steps) == 368397 <= descent.MAX_LADDER
+
+
 def test_the_smallest_initial_step_takes_steps():
     # F = 1e15 u^2 - 1 at 4e-8, with its zero at 3.16e-8: the gradient 4.8e7 moves u by
     # 4.8e-9 at the step 1e-16, and phi falls at every iteration

@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -165,3 +166,53 @@ def test_special_values_are_written_as_csv_writer_writes_them(tmp_path):
         b"nan,-0,0.10000000149011612,0.10000000000000001,3,false",
         b"",
     ]
+
+
+SHORT = {"status": "converged", "u": [1.0]}
+LONG = {"status": "stalled", "u": np.linspace(0.0, 1.0, 40), "note": "x" * 300}
+
+
+@pytest.mark.parametrize("old, new", [(LONG, SHORT), (SHORT, LONG)], ids=["shrink", "grow"])
+def test_a_report_over_an_existing_one_is_its_own_bytes(old, new, tmp_path):
+    # the writer opens without truncating and cuts the file at its end: a shorter
+    # report leaves no tail of the longer one
+    path = tmp_path / "report.json"
+    report.write_json(path, old)
+    report.write_json(path, new)
+    assert path.read_bytes() == report.dumps(new).encode("utf-8")
+
+
+def test_a_csv_over_a_longer_file_keeps_its_crlf(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"old\nbytes\n" * 100)
+    report.write_trace_csv(path, [(0, 4.5, 3.0, 1.0), (1, 0.5, 1.0, 0.5)])
+    assert path.read_bytes() == b"k,phi,grad_norm,step\r\n0,4.5,3,1\r\n1,0.5,1,0.5\r\n"
+
+
+def test_a_new_file_gets_the_mode_write_text_gives(tmp_path):
+    umask = os.umask(0o027)
+    try:
+        (tmp_path / "reference.json").write_text("{}\n", encoding="utf-8")
+        report.write_json(tmp_path / "report.json", {})
+        report.write_sweep_csv(tmp_path / "sweep.csv", ())
+    finally:
+        os.umask(umask)
+    names = ("reference.json", "report.json", "sweep.csv")
+    modes = [(tmp_path / name).stat().st_mode for name in names]
+    assert modes == modes[:1] * 3
+
+
+def test_a_symlinked_path_writes_through_to_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("x" * 1000)
+    (tmp_path / "link.json").symlink_to(target)
+    report.write_json(tmp_path / "link.json", SHORT)
+    assert (tmp_path / "link.json").is_symlink()
+    assert target.read_bytes() == report.dumps(SHORT).encode("utf-8")
+
+
+def test_the_null_device_takes_every_output():
+    # /dev/null has no length to cut; truncating it would raise
+    report.write_json(os.devnull, LONG)
+    report.write_sweep_csv(os.devnull, [SweepPoint(1.0, 2.0, 3.0, 4.0, 1.0, True)])
+    report.write_trace_csv(os.devnull, [(0, 1.0, 2.0, 1.0)])
