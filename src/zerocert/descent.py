@@ -10,7 +10,7 @@ policy.  Every failure mode is a status, not an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,22 +53,33 @@ class DescentConfig:
     sufficient_decrease: float = 1e-4
     ball_policy: str = CLIP_TO_BALL
     direction: str = "steepest"
+    # the ladder initial_step * backtrack_factor^j, one product after another, down to
+    # the last entry >= STEP_UNDERFLOW; read-only, and built here once
+    steps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.residual_tolerance > 0.0:
-            raise InvalidConfigurationError("residual_tolerance must be positive")
-        if self.max_iterations < 0:
-            raise InvalidConfigurationError("max_iterations must be nonnegative")
+        if not 0.0 < self.residual_tolerance < math.inf:  # an infinite one proves nothing
+            raise InvalidConfigurationError("residual_tolerance must lie in (0, inf)")
+        if not (isinstance(self.max_iterations, (int, np.integer)) and self.max_iterations >= 0):
+            raise InvalidConfigurationError("max_iterations must be an integer >= 0")
         if not STEP_UNDERFLOW <= self.initial_step < math.inf:  # else no step, or no end
             raise InvalidConfigurationError(f"initial_step must lie in [{STEP_UNDERFLOW:g}, inf)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise InvalidConfigurationError("backtrack_factor must lie in (0, 1)")
         ladder = math.floor((math.log(STEP_UNDERFLOW) - math.log(self.initial_step))
                             / math.log(self.backtrack_factor)) + 2
-        if ladder > MAX_LADDER:  # a stall would grow the ladder until memory runs out
+        if ladder > MAX_LADDER:  # else the ladder built below is too long to keep
             raise InvalidConfigurationError(
                 f"backtrack_factor {self.backtrack_factor!r} needs {ladder} steps from "
                 f"initial_step down to {STEP_UNDERFLOW:g}, more than {MAX_LADDER}")
+        # the rounded logs can count one entry short of the first below STEP_UNDERFLOW
+        # (2.5711008708143844e+45 at 0.5), so the products run one entry past the count
+        steps = np.full(ladder + 1, self.backtrack_factor)
+        steps[0] = self.initial_step
+        steps = np.multiply.accumulate(steps)  # non-increasing, as 0 < factor < 1
+        steps = steps[:np.count_nonzero(steps >= STEP_UNDERFLOW)]
+        steps.flags.writeable = False
+        object.__setattr__(self, "steps", steps)
         if not 0.0 < self.sufficient_decrease < 1.0:
             raise InvalidConfigurationError("sufficient_decrease must lie in (0, 1)")
         if self.ball_policy not in (CLIP_TO_BALL, REJECT_OUTSIDE):
@@ -121,37 +132,20 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt((rows[:, None, :] @ rows[:, :, None])[:, 0, 0])
 
 
-class _Ladder:
-    """initial_step * backtrack_factor^j, one product after another, as the array ``steps``."""
-
-    def __init__(self, steps):
-        self.steps = np.array(steps, dtype=float)
-
-    def reach(self, count: int, factor: float):
-        """Grow, doubling, to ``count`` entries or more, or to the first below STEP_UNDERFLOW."""
-        if len(self.steps) < count and self.steps[-1] >= STEP_UNDERFLOW:
-            new = np.full(max(count, 2 * len(self.steps)) - len(self.steps) + 1, factor)
-            new[0] = self.steps[-1]
-            new = np.multiply.accumulate(new)[1:]  # non-increasing, as 0 < factor < 1
-            self.steps = np.append(self.steps, new[:np.count_nonzero(new >= STEP_UNDERFLOW) + 1])
-
-
-def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladder: _Ladder | list,
-                 v: np.ndarray, d: np.ndarray, slope: float, phi_v: float,
-                 size: int) -> tuple | None:
-    """The first ladder entry whose trial passes, as (index, trial, F(trial), phi(trial)).
+def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, v: np.ndarray,
+                 d: np.ndarray, slope: float, phi_v: float, size: int) -> tuple | None:
+    """The first ``cfg.steps`` entry whose trial passes, as (index, trial, F(trial), phi(trial)).
 
     The ladder is searched in blocks, the first of ``size`` entries, each
-    later one twice as long, none longer than :func:`block_rows`; a list that
-    is not a :class:`_Ladder` is copied into one.  None when no entry above
-    STEP_UNDERFLOW passes.  A trial whose float sum of squares is NaN, infinite
-    or proves phi(trial) >= phi(v) is rejected without its compensated sum;
+    later one twice as long, none longer than :func:`block_rows`.  None when
+    no entry passes.  A trial whose float sum of squares is NaN, infinite or
+    proves phi(trial) >= phi(v) is rejected without its compensated sum;
     every other trial's phi is the compensated sum.  Rows past the first
-    passing one are speculative, so the search runs under one np.errstate:
-    they may overflow where the sequential ladder would never evaluate them.
+    passing one are speculative: they may overflow where the sequential
+    ladder would never evaluate them, so the caller, :func:`solve`, runs the
+    search with numpy's floating-point errors ignored.
     """
-    ladder = ladder if isinstance(ladder, _Ladder) else _Ladder(ladder)
-    max_rows = block_rows(problem)
+    steps, max_rows = cfg.steps, block_rows(problem)
     size = min(size, max_rows)
     # A row is skipped soundly: the float sum S of its m nonnegative terms has |S - E| <=
     # gamma_{m-1} E <= 2(m-1)u E, u = 2^-53, for their exact sum E (Higham 2002, 4.2; an
@@ -162,38 +156,33 @@ def _line_search(problem: ResidualProblem, ball: Ball, cfg: DescentConfig, ladde
     limit = 2.0 * phi_v * (1.0 + 4 * problem.m * 2.0**-52)
     clip = cfg.ball_policy == CLIP_TO_BALL
     j = 0
-    with np.errstate(all="ignore"):
-        while True:
-            ladder.reach(j + size, cfg.backtrack_factor)
-            steps = ladder.steps
-            stop = min(j + size, len(steps) - int(steps[-1] < STEP_UNDERFLOW))
-            if stop <= j:
-                return None
-            trials = v + steps[j:stop, None] * d
-            offsets = trials - ball.center
-            norms = _row_norms(offsets)
-            inside = norms <= ball.radius
-            if clip and np.count_nonzero(inside) < len(inside):
-                offsets *= (ball.radius / norms)[:, None]
-                offsets += ball.center
-                np.copyto(offsets, trials, where=inside[:, None])
-                trials = offsets
-            # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
-            moved = (trials != v).any(axis=1)
-            keep = moved if clip else moved & inside
-            rows = trials if np.count_nonzero(keep) == len(keep) else trials[keep]
-            if len(rows):
-                kept = range(len(rows)) if rows is trials else keep.nonzero()[0]
-                R = np.asarray(residual_rows(problem, rows), dtype=float)
-                terms = _weighted(problem, R) * R
-                for row in (terms.sum(axis=1) <= limit).nonzero()[0]:
-                    phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
-                    i = kept[row]
-                    bound = phi_v + cfg.sufficient_decrease * steps[j + i] * slope
-                    if phi_trial < phi_v and phi_trial <= bound:
-                        return j + int(i), trials[i], R[row], phi_trial
-            j = stop
-            size = min(2 * size, max_rows)
+    while j < len(steps):
+        trials = v + steps[j:j + size, None] * d
+        offsets = trials - ball.center
+        norms = _row_norms(offsets)
+        inside = norms <= ball.radius
+        if clip and np.count_nonzero(inside) < len(inside):
+            offsets *= (ball.radius / norms)[:, None]
+            offsets += ball.center
+            np.copyto(offsets, trials, where=inside[:, None])
+            trials = offsets
+        # a trial equal to v has phi(v) and cannot pass: only the others are evaluated
+        moved = (trials != v).any(axis=1)
+        keep = moved if clip else moved & inside
+        rows = trials if np.count_nonzero(keep) == len(keep) else trials[keep]
+        if len(rows):
+            kept = range(len(rows)) if rows is trials else keep.nonzero()[0]
+            R = np.asarray(residual_rows(problem, rows), dtype=float)
+            terms = _weighted(problem, R) * R
+            for row in (terms.sum(axis=1) <= limit).nonzero()[0]:
+                phi_trial = 0.5 * _compensated_sum(terms[row].tolist())
+                i = kept[row]
+                bound = phi_v + cfg.sufficient_decrease * steps[j + i] * slope
+                if phi_trial < phi_v and phi_trial <= bound:
+                    return j + int(i), trials[i], R[row], phi_trial
+        j += size
+        size = min(2 * size, max_rows)
+    return None
 
 
 def solve(
@@ -208,7 +197,8 @@ def solve(
     + sufficient_decrease * t * <grad phi, direction>: a trial that does not
     move, or whose phi is NaN or infinite, never passes.  The steps t run
     down the ladder initial_step * backtrack_factor^j, and the first one
-    whose trial passes is accepted.  Termination: residual below tolerance
+    whose trial passes is accepted; the ladder is ``config.steps``, built
+    once by :class:`DescentConfig`.  Termination: residual below tolerance
     (converged), iteration budget, or no trial passing before t falls below
     1e-16 (stalled); a slope that is zero, infinite or NaN lets no trial
     pass, so it stalls without evaluating one.  Without a certificate the
@@ -225,14 +215,13 @@ def solve(
     phi_trial >= phi(v) is rejected without the compensated sum; every
     other phi_trial, and so the accepted one, is that sum.  The accepted
     trial's residual gives the next iterate's gradient and Gauss-Newton
-    step, and its phi, where above 2^-1022, the norm.  Everything runs under
-    np.errstate, entered once per solve and once per line search: an
-    overflow or a NaN is a value that ends in a status, never a warning.
+    step, and its phi, where above 2^-1022, the norm.  Everything runs with
+    numpy's floating-point errors ignored, set once per solve: an overflow or
+    a NaN is a value that ends in a status, never a warning.
     """
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
     trace: list[tuple] | None = [] if record_trace else None
-    ladder = _Ladder([cfg.initial_step])
     accepted = 0  # the ladder index of the last accepted step
 
     k = 0
@@ -256,13 +245,13 @@ def solve(
                 status = STATUS_STALLED
                 break
 
-            found = _line_search(problem, ball, cfg, ladder, v, d, slope, phi_v, 2 * (accepted + 1))
+            found = _line_search(problem, ball, cfg, v, d, slope, phi_v, 2 * (accepted + 1))
             if found is None:
                 status = STATUS_STALLED
                 break
 
             if trace is not None:  # np.linalg.norm(g) bit for bit: its own 1-D formula
-                trace.append((k, phi_v, math.sqrt(gg), float(ladder.steps[found[0]])))
+                trace.append((k, phi_v, math.sqrt(gg), float(cfg.steps[found[0]])))
             accepted, v, r, phi_v = found  # above 2^-1022, phi is exactly half the sum of squares:
             rn = math.sqrt(2.0 * phi_v) if phi_v > 2.0**-1022 else norm_of_residual(problem, r)
             k += 1

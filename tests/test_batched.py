@@ -231,8 +231,8 @@ def test_block_line_search_matches_the_sequential_ladder(name, policy, direction
     cfg = DescentConfig(ball_policy=policy, direction=direction, max_iterations=60)
     line_search = descent._line_search
 
-    def recorded(problem, ball, cfg, ladder, v, d, *rest):
-        found = line_search(problem, ball, cfg, ladder, v, d, *rest)
+    def recorded(problem, ball, cfg, v, d, *rest):
+        found = line_search(problem, ball, cfg, v, d, *rest)
         searches.append((v, d, None if found is None else found[0]))
         return found
 
@@ -348,9 +348,11 @@ def test_line_search_accepts_a_trial_whose_float_sum_alone_would_reject_it():
         phi_v = 0.5 * np.nextafter(float_sums[i], 0.0)
         phi_trial = 0.5 * math.fsum(squares[i].tolist())
         assert phi_trial < phi_v < 0.5 * float_sums[i]
-        # from v = 0 along d = rows[i], so the step t = 1 lands on rows[i] exactly
-        found = descent._line_search(identity_problem(m), Ball(rows[i], 1.0), DescentConfig(),
-                                     [1.0], np.zeros(m), rows[i], -1e-300, phi_v, 4)
+        # from v = 0 along d = rows[i], so the step t = 1 lands on rows[i] exactly: at the
+        # centre, whose zero norm the block's clip divides by under solve's errstate
+        with np.errstate(all="ignore"):
+            found = descent._line_search(identity_problem(m), Ball(rows[i], 1.0),
+                                         DescentConfig(), np.zeros(m), rows[i], -1e-300, phi_v, 4)
         assert found is not None
         index, trial, r, phi = found
         assert index == 0 and phi == phi_trial
@@ -383,17 +385,17 @@ def test_line_search_takes_few_compensated_sums(monkeypatch):
 
 
 def test_a_one_row_block_whose_sum_of_squares_overflows_writes_no_warning():
-    # each square at the trial is 1e308, their sum overflows: the compensated sum
-    # makes it inf without a warning, and the float sum of the screen must too
+    # F = 1e77 (v - 1e-77) twice, without vjp_batch, so each block holds one trial.  From
+    # phi = 1 at 0 the first trial's squares overflow, and the second's are 1e308 each, whose
+    # sum overflows: the float sum of the screen must make it inf without a warning, as the
+    # compensated sum does.  solve's errstate covers its line searches, which enter none
     p = ResidualProblem(name="twice", n=1, m=2,
-                        residual=lambda V: np.concatenate([V, V], axis=-1),
-                        jacobian=lambda v: np.ones((2, 1)),
-                        vjp_batch=lambda V, Y: Y.sum(axis=1, keepdims=True))
+                        residual=lambda v: np.full(2, 1e77 * (v[0] - 1e-77)),
+                        jacobian=lambda v: np.full((2, 1), 1e77))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        found = descent._line_search(p, Ball(np.zeros(1), 1e155), DescentConfig(), [1.0],
-                                     np.zeros(1), np.array([1e154]), -1.0, 1.0, 1)
-    assert found is None
+        result = solve(p, Ball(np.zeros(1), 1e78), DescentConfig())
+    assert (result.status, result.iterations) == ("stalled", 0)
 
 
 def test_non_finite_rows_of_a_block_never_reach_the_compensated_sum(monkeypatch):
@@ -406,7 +408,7 @@ def test_non_finite_rows_of_a_block_never_reach_the_compensated_sum(monkeypatch)
                         jacobian=lambda v: np.eye(1), vjp_batch=lambda V, Y: 1.0 * Y)
     summed, fsum = [], math.fsum
     monkeypatch.setattr(math, "fsum", lambda terms: summed.append(terms) or fsum(terms))
-    args = (p, Ball(np.zeros(1), 2.0), DescentConfig(backtrack_factor=0.75), [1.0],
+    args = (p, Ball(np.zeros(1), 2.0), DescentConfig(backtrack_factor=0.75),
             np.zeros(1), np.ones(1), -0.3, 0.045, 4)
     found = descent._line_search(*args)
     monkeypatch.setattr(descent, "block_rows", lambda problem: 1)
