@@ -17,6 +17,7 @@ from .certificate import (
     domination_constant_sampled,
     quadratic_domination_constant,
     sample_ball,
+    transformed_certificate_quadratic,
 )
 from .descent import (
     DescentConfig,
@@ -58,7 +59,6 @@ from .transforms import (
     recover_problem_independent,
     scale,
     search_mu,
-    transformed_certificate_quadratic,
 )
 
 __version__ = "0.1.0"

@@ -121,10 +121,17 @@ class Certificate:
 
         A NaN or infinite ``lhs`` or ``c`` fails: ``inf <= inf`` proves nothing.
         """
-        rhs = ball.radius * c
-        passed = math.isfinite(lhs) and math.isfinite(c) and lhs <= rhs
-        return cls(ball=ball, c=c, lhs=lhs, rhs=rhs, slack=rhs - lhs, passed=passed,
+        rhs, slack, passed = _verdict(ball.radius, c, lhs)
+        return cls(ball=ball, c=c, lhs=lhs, rhs=rhs, slack=slack, passed=passed,
                    method=method, sample_count=sample_count)
+
+
+def _verdict(radius, c, lhs):
+    """The verdict rule: ``rhs = radius * c``, ``slack = rhs - lhs``, and ``passed`` when lhs
+    and c are finite and ``lhs <= rhs``.  For floats, and alike for columns of c and lhs over
+    a mu grid, whose overflow and inf - inf the caller's np.errstate keeps silent."""
+    rhs = radius * c
+    return rhs, rhs - lhs, (abs(lhs) < math.inf) & (abs(c) < math.inf) & (lhs <= rhs)
 
 
 def quadratic_domination_constant(lam: float, x: float, r: float) -> float:
@@ -157,7 +164,9 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     the original problem's constant), which leaves the verdict unchanged,
     makes slacks comparable across mu, and at mu = 1 is :func:`certify`'s
     closed form: |lam*x**2 - 1| is ||F(x)||.  Only this original-scale form
-    is evaluated, and the verdict is :meth:`Certificate.judge`'s.
+    is evaluated, and the verdict is :meth:`Certificate.judge`'s.  This is
+    the one-mu case of :func:`_quadratic_lhs`, which a sweep evaluates over
+    its whole grid at once.
     """
     mu = float(mu)
     if mu == 0.0:
@@ -166,8 +175,14 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     x = float(x)
     r = float(r)
     c = quadratic_domination_constant(lam, x, r)
-    lhs = abs(lam * x * x - mu * mu)
-    return Certificate.judge(Ball(np.array([x]), r), c, lhs, METHOD_CLOSED_FORM)
+    return Certificate.judge(Ball(np.array([x]), r), c, _quadratic_lhs(lam, x, mu),
+                             METHOD_CLOSED_FORM)
+
+
+def _quadratic_lhs(lam: float, x: float, mu):
+    """|lam*x**2 - mu**2| for a float mu, or for each mu of an array.  Float arithmetic
+    overflows without a warning; for an array the caller's np.errstate keeps it silent."""
+    return abs(lam * x * x - mu * mu)
 
 
 def _first_primes(k: int) -> list[int]:
@@ -272,7 +287,7 @@ def domination_constant_sampled(
 
 
 def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig,
-                     mus: list[float]) -> list[float]:
+                     mus: np.ndarray | list[float]) -> list[float]:
     """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings,
     of G(v) = F(v/mu) for each mu in ``mus`` (at mu = 1.0, F's own: v/1.0 is v).
 

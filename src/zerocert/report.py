@@ -4,13 +4,14 @@ The JSON report is spelled exactly as ``json.dumps(..., indent=2)`` would
 spell it, by this module's own writer in one join: floats take Python's
 shortest spelling that round-trips.  The CSVs (like stdout) print floats
 with 17 significant digits, which round-trip too, one ``%`` format per row.
-A result dataclass is written as the object of its fields in declaration
-order, and a numpy array or scalar as its list or number.  A non-finite
-value has one spelling everywhere, the one ``format(v, ".17g")`` gives:
-``inf``, ``-inf`` or ``nan``, printed bare on stdout and in CSV cells and
-written as a JSON string, so the report stays strict JSON.  Given a fixed
-config (and seed) the emitted bytes are deterministic apart from the timing
-fields.  An output is written over any existing file and then cut to its
+A result dataclass is written, from a template of its keys kept per class
+and indent, as the object of its fields in declaration order, leaving out
+those declared ``repr=False``; a numpy array or scalar is written as its
+list or number.  A non-finite value has one spelling everywhere, the one
+``format(v, ".17g")`` gives: ``inf``, ``-inf`` or ``nan``, printed bare on
+stdout and in CSV cells and written as a JSON string, so the report stays
+strict JSON.  Given a fixed config (and seed) the emitted bytes are
+deterministic apart from the timing fields.  An output is written over any existing file and then cut to its
 length, not truncated to zero first, which on ext4 costs tens of microseconds
 more.  Neither way is atomic: a crash mid-write can leave old and new bytes.
 """
@@ -39,6 +40,20 @@ def _key(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+# (dataclass, indent) -> (field names, the object's text with a %s for each field's value)
+_ROWS: dict = {}
+
+
+def _row(cls, indent: str) -> tuple:
+    """The names and the template of :func:`_spell`'s object for a ``cls`` instance at
+    ``indent``: its fields in declaration order, but those declared ``repr=False``."""
+    names = tuple(f.name for f in fields(cls) if f.repr)
+    inner = indent + "  "
+    body = f",\n{inner}".join(f"{_string(name)}: %s" for name in names)
+    _ROWS[cls, indent] = row = names, f"{{\n{inner}{body}\n{indent}}}" if names else "{}"
+    return row
+
+
 def _spell(obj, indent: str) -> str:
     """``obj`` as ``json.dumps(..., indent=2)`` spells it at ``indent``, with dataclasses as
     objects of their fields, numpy values as lists or numbers, and non-finite floats as
@@ -52,12 +67,16 @@ def _spell(obj, indent: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     inner = indent + "  "
-    if isinstance(obj, dict) or is_dataclass(obj):
+    if is_dataclass(obj):
         # shallow on purpose: dataclasses.asdict would deep-copy every array first
-        items = obj.items() if isinstance(obj, dict) else [
-            (f.name, getattr(obj, f.name)) for f in fields(obj)]
+        names, template = _ROWS.get((type(obj), indent)) or _row(type(obj), indent)
+        values = [getattr(obj, name) for name in names]
+        return template % tuple([
+            float.__repr__(v) if type(v) is float and math.isfinite(v) else _spell(v, inner)
+            for v in values])
+    if isinstance(obj, dict):
         parts = [f"{_string(k) if isinstance(k, str) else _key(k)}: {_spell(v, inner)}"
-                 for k, v in items]
+                 for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
         parts = [_spell(v, inner) for v in obj]

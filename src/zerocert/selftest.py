@@ -14,10 +14,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificate import Ball, check_seed, domination_constant_sampled, quadratic_domination_constant
+from .certificate import (Ball, check_seed, domination_constant_sampled,
+                          quadratic_domination_constant, transformed_certificate_quadratic)
 from .functional import check_gradient
 from .problems import ResidualProblem, make_bvp, make_quadratic
-from .transforms import transformed_certificate_quadratic
 
 EQUIVALENCE_GRID = {
     "lam": (0.5, 1.0, 2.0),

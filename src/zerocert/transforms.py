@@ -28,11 +28,13 @@ from .certificate import (
     Ball,
     Certificate,
     SamplingConfig,
+    _quadratic_lhs,
     _sample_points,
     _sampled_infimum,
+    _verdict,
     check_dimension,
     check_method,
-    transformed_certificate_quadratic,
+    quadratic_domination_constant,
 )
 from .exceptions import InvalidConfigurationError
 from .functional import norm_of_residual
@@ -310,47 +312,49 @@ def search_mu(
     """Sweep the scaling parameter mu looking for a passing certificate.
 
     For each grid mu the problem is rewritten as G = F o B^-1 with
-    B(v) = mu*v and certified on the given ball.  Quadratic problems under
-    the closed-form method use :func:`transformed_certificate_quadratic`;
-    otherwise the ball is sampled once, and every G's sampled constant comes
-    from one pass of :func:`_sampled_infimum` over the rows v/mu, and every
-    lhs = ||F(x/mu)|| from one :func:`residual_rows` call; no G is built.  A
-    row's gradient is F's divided by mu, so each entry is :func:`certify` on
-    ``recover_problem_independent(scale(mu), F)`` up to the rounding of that
-    division: bit for bit for a problem with batched hooks, and for every
-    problem when mu is a power of two.  The best entry maximizes slack among
-    passing entries (ties: least distortion |mu - 1|, then smaller mu); when
-    nothing passes the same ordering is applied to all entries.
+    B(v) = mu*v and certified on the given ball.  c and lhs are columns over
+    the grid, judged by the rule of :meth:`Certificate.judge`; only the best
+    entry becomes a Certificate.  The closed form takes
+    lhs = |lam*x**2 - mu**2| over the grid, at each mu bit for bit
+    :func:`transformed_certificate_quadratic`.  Otherwise the ball is sampled
+    once, every G's constant comes from one pass of :func:`_sampled_infimum`
+    over the rows v/mu, and every lhs is the :func:`norm_of_residual` of a
+    row of one :func:`residual_rows` call over the centres x/mu; no G is
+    built.  A row's gradient is F's divided by mu, so each entry is
+    :func:`certify` on ``recover_problem_independent(scale(mu), F)`` up to
+    the rounding of that division: bit for bit for a problem with batched
+    hooks, and for every problem when mu is a power of two.  The best entry
+    maximizes slack among passing entries (ties: least distortion |mu - 1|,
+    then smaller mu); when nothing passes the same ordering is applied to
+    all entries.
     """
     if method is None:
         method = METHOD_CLOSED_FORM if problem.is_quadratic else METHOD_SAMPLED
     check_method(problem, method)
     check_dimension(problem, ball)
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
-    mus = grid.tolist()
     if method == METHOD_CLOSED_FORM:
-        certs = [transformed_certificate_quadratic(problem.params["lambda"], mu, ball.center[0],
-                                                   ball.radius) for mu in mus]
+        lam, x, count = float(problem.params["lambda"]), float(ball.center[0]), 0
+        c = np.full(len(grid), quadratic_domination_constant(lam, x, ball.radius))
+        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+            lhs = _quadratic_lhs(lam, x, grid)
     else:
         cfg = sampling or SamplingConfig()
         points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-        cs = _sampled_infimum(problem, points, cfg, mus)
+        count = len(points)
+        c = np.array(_sampled_infimum(problem, points, cfg, grid))
         R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
-        certs = [Certificate.judge(ball, c, norm_of_residual(problem, r), METHOD_SAMPLED,
-                                   len(points)) for c, r in zip(cs, R)]
-    entries = list(zip(mus, certs))
+        lhs = np.array([norm_of_residual(problem, r) for r in R])
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = [grid, c, lhs, *_verdict(ball.radius, c, lhs)]
+    mus, cs, lhss, rhss, slacks, passes = [column.tolist() for column in columns]
 
-    passing = [(mu, cert) for mu, cert in entries if cert.passed]
-    pool = passing if passing else entries
-    best_mu, best_cert = min(pool, key=lambda e: (-e[1].slack, abs(e[0] - 1.0), e[0]))
-    sweep = [
-        SweepPoint(mu, cert.c, cert.lhs, cert.rhs, cert.slack, cert.passed)
-        for mu, cert in entries
-    ]
+    pool = [i for i, passed in enumerate(passes) if passed]
+    best = min(pool or range(len(mus)), key=lambda i: (-slacks[i], abs(mus[i] - 1.0), mus[i]))
     return TransformSearchResult(
-        best_parameter=best_mu,
-        any_passed=bool(passing),
+        best_parameter=mus[best],
+        any_passed=bool(pool),
         zero_exclusion=zero_exclusion,
-        certificate=best_cert,
-        sweep=sweep,
+        certificate=Certificate.judge(ball, cs[best], lhss[best], method, count),
+        sweep=list(map(SweepPoint, mus, cs, lhss, rhss, slacks, passes)),
     )

@@ -12,12 +12,20 @@ import io
 import json
 import math
 import os
-from dataclasses import fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 import pytest
 
-from zerocert import Ball, SweepPoint, cli, report, transformed_certificate_quadratic
+from zerocert import (
+    Ball,
+    DescentConfig,
+    SweepPoint,
+    TransformSearchResult,
+    cli,
+    report,
+    transformed_certificate_quadratic,
+)
 from test_golden import CASES, GOLDEN
 
 
@@ -29,7 +37,7 @@ def _plain(obj):
     if isinstance(obj, (list, tuple)):
         return [_plain(v) for v in obj]
     if is_dataclass(obj):
-        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj) if f.repr}
     if isinstance(obj, (np.ndarray, np.generic)):
         return _plain(obj.tolist())
     return obj
@@ -80,6 +88,16 @@ def test_golden_reports_are_spelled_as_json_dumps_spells_them(name, tmp_path, mo
         assert report.dumps(loaded) == reference_dumps(loaded)
 
 
+@dataclass(frozen=True)
+class Hidden:
+    """A dataclass whose only field the writer leaves out."""
+
+    secret: int = field(default=1, repr=False)
+
+
+POINT = SweepPoint(0.626875, 3.0, 3.607027984375, 1.5, -2.107027984375, False)
+CERTIFICATE = transformed_certificate_quadratic(1.0, 2.0, 2.0, 0.5)
+
 VALUES = {
     "empty containers": {"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": {"g": []}}},
     "arrays": [np.zeros((2, 3)), np.empty(0), np.empty((0, 2)), np.arange(3), np.array(2.5),
@@ -92,16 +110,35 @@ VALUES = {
                           np.array([[math.nan], [0.5]])],
     "keys": {1: "int", 2.5: "float", -0.0: "negative zero", False: "bool", None: "none",
              np.float64(0.1): "np.float64", "s": "str"},
-    "certificate": transformed_certificate_quadratic(1.0, 2.0, 2.0, 0.5),
+    "certificate": CERTIFICATE,
     "ball": Ball(np.array([1.0, math.inf]), 0.5),
     "nested": {"sweep": [SweepPoint(1.0, math.nan, 2.0, -math.inf, 0.0, np.True_)],
                "tuple": (1, (2.0, ("x",)))},
+    # one class's rows at two indents, each with its own template
+    "rows at two depths": {"rows": [POINT, POINT], "deeper": [[POINT], {"row": [POINT]}]},
+    "rows of two classes": [POINT, Ball(np.array([0.5]), 2.0), POINT, Hidden(), POINT],
+    "rows of special values": [
+        SweepPoint(np.float64(0.1), math.nan, math.inf, -math.inf, -0.0, np.bool_(True)),
+        SweepPoint(-0.0, np.float64(math.nan), np.float64(-math.inf), 5e-324, 1e308,
+                   np.False_),
+    ],
+    "empty sweep": TransformSearchResult(2.0, True, None, CERTIFICATE, []),
+    "sweep in a result": TransformSearchResult(2.0, True, 0.003, CERTIFICATE, [POINT] * 3),
+    "repr=False fields": [DescentConfig(backtrack_factor=0.9), Hidden()],
 }
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
 def test_values_are_spelled_as_json_dumps_spells_them(name):
     assert report.dumps(VALUES[name]) == reference_dumps(VALUES[name])
+
+
+def test_a_descent_config_is_spelled_without_its_ladder():
+    # steps is declared repr=False: 54 entries by default, 368 396 at backtrack_factor 0.9999
+    for config in (DescentConfig(), DescentConfig(backtrack_factor=0.9999)):
+        assert list(json.loads(report.dumps(config))) == [
+            f.name for f in fields(DescentConfig) if f.init]
+    assert len(json.loads(report.dumps(DescentConfig()))) == 7
 
 
 @pytest.mark.parametrize("obj, error", [

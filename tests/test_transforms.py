@@ -1,16 +1,24 @@
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
 
 from zerocert import (
     Ball,
+    Certificate,
     InvalidConfigurationError,
+    ResidualProblem,
     SamplingConfig,
     apply_dependent,
     build_mu_grid,
     certify,
     cubic_perturbation,
+    domination_constant_sampled,
     eval_residual,
     linear_scale,
+    make_bvp,
     make_quadratic,
     pull_back_zero,
     recover_problem_independent,
@@ -18,6 +26,7 @@ from zerocert import (
     search_mu,
     transformed_certificate_quadratic,
 )
+from zerocert.functional import norm_of_residual
 from zerocert.selftest import suite_gradient_checks
 
 
@@ -311,3 +320,120 @@ def test_search_mu_tie_breaks_toward_least_distortion():
     paired = [p.slack for p in result.sweep if abs(p.mu) == pos_small]
     assert paired[0] == paired[1]
     assert result.best_parameter == pos_small
+
+
+def test_an_overflowing_sweep_stays_silent():
+    # mu**2 overflows from the second mu on; the closed form's float arithmetic never warned,
+    # and the grid form must not either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        found = search_mu(make_quadratic(1.0), Ball(np.array([2.0]), 0.5), (1e150, 1e200), 5)
+    assert found.best_parameter == 1e150 and not found.any_passed
+    assert [p.lhs for p in found.sweep] == [abs(4.0 - 1e150 * 1e150)] + [math.inf] * 4
+    assert found.sweep[0].lhs == pytest.approx(1e300)
+    assert [p.slack for p in found.sweep[1:]] == [-math.inf] * 4
+
+
+def bits(*values):
+    return [struct.pack("<d", v) for v in values]
+
+
+def assert_sweep_is_the_scalar_reference(found, certs):
+    """Every entry of ``found`` is ``certs``' entry at its mu, bit for bit, in Python floats and
+    bools, and the best entry is the one the per-mu certificates order first."""
+    mus = [point.mu for point in found.sweep]
+    assert len(mus) == len(certs)
+    for point, cert in zip(found.sweep, certs):
+        assert {type(getattr(point, name)) for name in ("mu", "c", "lhs", "rhs", "slack")} == {float}
+        assert type(point.passed) is bool
+        assert (bits(point.c, point.lhs, point.rhs, point.slack), point.passed) == (
+            bits(cert.c, cert.lhs, cert.rhs, cert.slack), cert.passed), point.mu
+    entries = list(zip(mus, certs))
+    pool = [entry for entry in entries if entry[1].passed] or entries
+    best_mu, best = min(pool, key=lambda e: (-e[1].slack, abs(e[0] - 1.0), e[0]))
+    cert = found.certificate
+    assert bits(found.best_parameter) == bits(best_mu)
+    assert found.any_passed == any(c.passed for c in certs)
+    assert (bits(cert.c, cert.lhs, cert.rhs, cert.slack), cert.passed, cert.method,
+            cert.sample_count, cert.advisory) == (bits(best.c, best.lhs, best.rhs, best.slack),
+                                                  best.passed, best.method, best.sample_count,
+                                                  best.advisory)
+    assert bits(*cert.ball.center, cert.ball.radius) == bits(*best.ball.center, best.ball.radius)
+
+
+# lam, x, r, mu_range, grid_size, spacing
+CLOSED_SWEEPS = {
+    "linear": (1.0, 2.0, 0.5, (0.5, 3.0), 26, "linear"),
+    "geometric": (1.0, 2.0, 0.5, (0.1, 1e3), 17, "geometric"),
+    # +-0.003 tie on slack, nothing passes
+    "across-zero-tie": (1.0, 2.0, 0.5, (-3.0, 3.0), 4, "linear"),
+    # +-1.8756249999999999 both pass with equal slack
+    "across-zero-passing-tie": (1.0, 2.0, 0.5, (-2.5, 2.5), 10, "linear"),
+    "across-zero-geometric": (2.0, -1.5, 0.5, (-2.5, 3.0), 9, "geometric"),
+    "one-mu": (1.0, 2.0, 0.5, (1.0, 1.0), 1, "linear"),
+    "one-negative-mu": (0.5, -3.0, 1.0, (-2.0, -2.0), 1, "linear"),
+    "negative-lambda": (-1.0, 2.0, 0.5, (0.5, 3.0), 26, "linear"),
+    "zero-lambda": (0.0, 2.0, 0.5, (0.5, 3.0), 5, "linear"),
+    "ball-over-the-origin": (1.0, 0.2, 0.5, (0.1, 2.0), 7, "linear"),
+    "inf-lhs": (1.0, 2.0, 0.5, (1e150, 1e200), 5, "linear"),
+    # lam*x**2 is inf, and so is mu**2 from about 1.3e154 on: inf - inf
+    "nan-lhs": (1.0, 1e200, 1.0, (1e100, 1e200), 7, "geometric"),
+    # 2*lam overflows, so c, rhs and slack are inf while lhs is finite
+    "inf-c": (1e308, 0.9, 0.1, (0.5, 3.0), 4, "linear"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_SWEEPS))
+def test_closed_form_sweep_is_the_scalar_reference_bit_for_bit(name):
+    lam, x, r, mu_range, grid_size, spacing = CLOSED_SWEEPS[name]
+    found = search_mu(make_quadratic(lam), Ball(np.array([x]), r), mu_range, grid_size,
+                      spacing=spacing)
+    certs = [transformed_certificate_quadratic(lam, mu, x, r) for mu in
+             build_mu_grid(mu_range, grid_size, spacing)[0].tolist()]
+    assert_sweep_is_the_scalar_reference(found, certs)
+    if name == "inf-c":  # lhs <= rhs = inf holds, but an infinite c proves nothing
+        assert not found.any_passed and {p.rhs for p in found.sweep} == {math.inf}
+
+
+def non_finite_quadratic():
+    """F(v) = v**2 - 1, but inf where v > 3 and NaN where v < -3."""
+    return ResidualProblem(
+        name="non-finite", n=1, m=1,
+        residual=lambda V: np.where(V > 3.0, np.inf, np.where(V < -3.0, np.nan, V * V - 1.0)),
+        jacobian=lambda v: np.array([[2.0 * v[0]]]), vjp_batch=lambda V, Y: 2.0 * V * Y)
+
+
+SIN4 = np.sin(np.pi * np.arange(1, 5) / 5)
+
+# problem, ball, mu_range, grid_size, spacing, samples_per_axis
+SAMPLED_SWEEPS = {
+    "linear": (make_quadratic(1.0), Ball(np.array([2.0]), 0.5), (0.5, 3.0), 26, "linear", 101),
+    "across-zero-geometric": (make_quadratic(1.0), Ball(np.array([2.0]), 0.5), (-2.5, 3.0), 9,
+                              "geometric", 31),
+    # F is even and the points symmetric about 0: each +-mu pair ties
+    "negative-lambda-ties": (make_quadratic(-1.0), Ball(np.array([0.0]), 0.5), (-2.0, 2.0), 6,
+                             "linear", 101),
+    "one-mu": (make_bvp(4, 1.0, "manufactured_sin"), Ball(SIN4, 0.3), (1.0, 1.0), 1, "linear",
+               3),
+    "bvp-geometric": (make_bvp(4, 1.0, "manufactured_sin"), Ball(SIN4, 0.3), (0.5, 2.0), 5,
+                      "geometric", 3),
+    "non-finite-lhs": (non_finite_quadratic(), Ball(np.array([2.0]), 0.5), (-4.0, 4.0), 8,
+                       "linear", 31),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLED_SWEEPS))
+def test_sampled_sweep_is_the_scalar_reference_bit_for_bit(name):
+    problem, ball, mu_range, grid_size, spacing, spa = SAMPLED_SWEEPS[name]
+    sampling = SamplingConfig(samples_per_axis=spa)
+    found = search_mu(problem, ball, mu_range, grid_size, "sampled", sampling, spacing)
+    certs = []
+    for mu in build_mu_grid(mu_range, grid_size, spacing)[0].tolist():
+        c = domination_constant_sampled(recover_problem_independent(scale(mu), problem), ball,
+                                        spa)
+        lhs = norm_of_residual(problem, eval_residual(problem, ball.center / mu))
+        certs.append(Certificate.judge(ball, c, lhs, "sampled", spa**problem.n))
+    assert_sweep_is_the_scalar_reference(found, certs)
+    if name == "non-finite-lhs":  # x/mu is -500 at the NaN and 500 at the inf
+        lhs = [p.lhs for p in found.sweep]
+        assert sum(map(math.isnan, lhs)) == 1 and lhs.count(math.inf) == 1
