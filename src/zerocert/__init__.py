@@ -16,7 +16,6 @@ from .certificate import (
     certify,
     domination_constant_sampled,
     quadratic_domination_constant,
-    sample_ball,
     transformed_certificate_quadratic,
 )
 from .descent import (
@@ -99,7 +98,6 @@ __all__ = [
     "quadratic_domination_constant",
     "recover_problem_independent",
     "residual_norm",
-    "sample_ball",
     "scale",
     "search_mu",
     "solve",

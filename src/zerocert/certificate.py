@@ -12,8 +12,13 @@ while the right-hand side r*c needs to stay large; the certificate records
 the slack r*c - ||F(x)|| to quantify how the conflict resolved.
 
 Two estimators for c are provided: the exact closed form for the quadratic
-family, and a conservative sampled infimum of ||grad phi|| / ||F|| over the
-ball.  Sampled certificates are advisory (an estimate, not a proven bound).
+family, and a sampled minimum of ||grad phi|| / ||F||, scaled by a safety
+factor.  The sampled points are a uniform grid in dimension 1 and, in higher
+dimensions, a few deterministic probes at distances r and r/2 from the
+centre along the directions in which F changes least there: the right
+singular vectors of W^(1/2) J(x) with the smallest singular values.  A
+sampled minimum is an upper bound on the infimum over the ball, so sampled
+certificates are advisory (an estimate, not a proven bound).
 """
 
 from __future__ import annotations
@@ -25,12 +30,12 @@ import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
 from .functional import _weighted, residual_norm
-from .problems import ResidualProblem, block_rows, residual_rows, vjp_rows
+from .problems import ResidualProblem, block_rows, eval_jacobian, residual_rows, vjp_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
 
-SAMPLE_CAP = 10**6  # hard cap on sampled points in every dimension
+PROBE_DIRECTIONS = 8  # in dimension n >= 2, probes lie along the min(8, n) weakest directions
 
 
 def check_seed(seed: int) -> None:
@@ -72,6 +77,9 @@ class SamplingConfig:
     (the domination inequality is vacuous there and the ratio is ill
     conditioned).  ``safety`` in (0, 1] shrinks the estimate to hedge
     against the sampled infimum overshooting the true one.
+    ``samples_per_axis`` is the size of the grid in dimension 1; in higher
+    dimensions the probes do not depend on it.  ``seed`` is checked by
+    :func:`check_seed` and changes no point.
     """
 
     samples_per_axis: int = 1001
@@ -185,79 +193,41 @@ def _quadratic_lhs(lam: float, x: float, mu):
     return abs(lam * x * x - mu * mu)
 
 
-def _first_primes(k: int) -> list[int]:
-    primes: list[int] = []
-    cand = 2
-    while len(primes) < k:
-        if all(cand % p for p in primes):
-            primes.append(cand)
-        cand += 1
-    return primes
-
-
-def _radical_inverse(start: int, count: int, base: int) -> np.ndarray:
-    """Van der Corput radical inverse in ``base`` of each index start, ..., start + count - 1.
-
-    Bit for bit the digit loop out += f*d, f = base**-k: a table holds the K lowest digits
-    (base**K <= count) of every residue, one row per high part; each higher digit adds a term.
-    """
-    f = 1.0
-    table = np.zeros(1)
-    while len(table) * base <= count:
-        f /= base
-        table = np.add.outer(f * np.arange(base), table).ravel()
-    low = len(table)
-    top = (start + count - 1) // low  # the largest high part
-    high = np.arange(start // low, top + 1)
-    out = table + np.zeros((len(high), 1))  # +0.0, like a digit past the end, changes nothing
-    place = 1
-    while place <= top:
-        f /= base
-        out += (f * (high // place % base))[:, None]
-        place *= base
-    return out.ravel()[start % low:start % low + count]
-
-
-def sample_ball(center: np.ndarray, radius: float, count: int, seed: int = 42) -> np.ndarray:
-    """Deterministic low-discrepancy points uniform in a ball.
-
-    Halton points feed Box-Muller pairs to get quasi-random directions; one
-    extra Halton dimension gives the radius via the u**(1/n) law.  ``seed``
-    offsets the start of the Halton sequence, so runs are reproducible; it
-    must pass :func:`check_seed`.
-    """
-    check_seed(seed)
-    center = np.asarray(center, dtype=float)
-    n = center.shape[0]
-    pairs = (n + 1) // 2
-    bases = _first_primes(2 * pairs + 1)
-    # disjoint index windows per seed, so different seeds share no points
-    start = 1 + seed * count
-    u = np.array([_radical_inverse(start, count, b) for b in bases])  # one row per dimension
-    # Box-Muller on all pairs of rows at once, each row contiguous: (2p, 2p+1) -> z's columns
-    rho = np.sqrt(-2.0 * np.log(u[0:-1:2]))
-    ang = 2.0 * np.pi * u[1::2]
-    z = np.empty((count, 2 * pairs))
-    z[:, 0::2] = (rho * np.cos(ang)).T
-    z[:, 1::2] = (rho * np.sin(ang)).T
-    z = z[:, :n]
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * u[-1] ** (1.0 / n)
-    return center + z / norms[:, None] * radii[:, None]
-
-
 def _sample_count(n: int, samples_per_axis: int) -> int:
-    """How many points :func:`_sample_points` draws in dimension ``n``."""
-    return min(samples_per_axis**n, SAMPLE_CAP)
+    """How many points :func:`_sample_points` takes per mu in dimension ``n``: a grid of
+    ``samples_per_axis`` points, at most 10**6, in dimension 1, else 4 * min(8, n) probes."""
+    return min(samples_per_axis, 10**6) if n == 1 else 4 * min(PROBE_DIRECTIONS, n)
 
 
-def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int, seed: int) -> np.ndarray:
-    count = _sample_count(problem.n, samples_per_axis)
+def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int,
+                   mus: np.ndarray) -> np.ndarray:
+    """The points of the sampled estimate on ``ball`` of G(v) = F(v/mu), one (count, n) set
+    for each mu in ``mus`` (F's own at mu = 1.0), as a (len(mus), count, n) array.
+
+    Dimension 1 takes the uniform grid with both ends, the same for every mu.  Otherwise
+    the probes are x +- r*v and x +- (r/2)*v over the k = min(8, n) right singular vectors
+    v of W^(1/2) J with the smallest singular values, where J = eval_jacobian(F, x/mu) *
+    (1.0/mu) is G's Jacobian at x as :func:`recover_problem_independent` computes it, each
+    v rounded to float32.  A J that is not finite gives NaN probes, at which F, and so
+    every ratio, is NaN.
+    """
+    x, r, count = ball.center, ball.radius, _sample_count(problem.n, samples_per_axis)
     if problem.n == 1:
-        x = ball.center[0]
-        return np.linspace(x - ball.radius, x + ball.radius, count)[:, None]
-    return sample_ball(ball.center, ball.radius, count, seed)
+        grid = np.linspace(x[0] - r, x[0] + r, count)
+        return np.broadcast_to(grid[:, None], (len(mus), count, 1))
+    m, n, k = problem.m, problem.n, count // 4
+    points = np.full((len(mus), count, n), np.nan)
+    for out, mu in zip(points, mus):
+        jac = eval_jacobian(problem, x / mu) * (1.0 / mu)
+        if problem.weights is not None:
+            jac *= np.sqrt(problem.weights)[:, None]
+        if np.isfinite(jac).all():  # the rows of vh past m (m < n) span J's null space
+            # rounded to float32, so that no probe hangs on the last bits the BLAS kernel
+            # gives the SVD: a config gives the same report on every CPU
+            weakest = np.linalg.svd(jac, full_matrices=m < n)[2][-k:].astype(np.float32)
+            offsets = np.concatenate([weakest, -weakest], dtype=float)
+            out[:] = x + np.concatenate([r * offsets, (0.5 * r) * offsets])
+    return points
 
 
 def domination_constant_sampled(
@@ -270,42 +240,48 @@ def domination_constant_sampled(
 ) -> float:
     """Estimate the domination constant as a sampled infimum over the ball.
 
-    Returns safety * min ||grad phi(v)|| / ||F(v)|| over sampled points with
-    ||F(v)|| above the floor, at most 10^6 of them.  In dimension 1 the
-    samples are a uniform grid including both endpoints; in higher
-    dimensions a deterministic low-discrepancy sequence in the ball.  Returns 0
-    when every sampled point sits at the floor (the infimum is undetermined)
-    or when any sampled residual norm or ratio is NaN or infinite (the norm
-    is infinite where the squares of F overflow); both yield a conservative
-    certificate.  A ball of another dimension than the problem's raises
-    InputShapeError (:func:`check_dimension`).
+    Returns safety * min ||grad phi(v)|| / ||F(v)|| over the points of
+    :func:`_sample_points` with ||F(v)|| above the floor: in dimension 1 a
+    uniform grid of ``samples_per_axis`` points (at most 10^6) including both
+    endpoints, in higher dimensions 4 * min(8, n) probes along the directions
+    in which F changes least at the centre, where points spread over the ball
+    overshoot the infimum by orders of magnitude once n is large.  For a
+    square J each probe ratio is at least the smallest singular value of
+    W^(1/2) J at the probe.  The estimate is still an upper bound on the
+    infimum, not a proof.  ``seed`` is validated and changes nothing.
+    Returns 0 when every point sits at the floor (the infimum is
+    undetermined) or when any residual norm or ratio is NaN or infinite (the
+    norm is infinite where the squares of F overflow, and every ratio is NaN
+    where the Jacobian at the centre is not finite); both yield a
+    conservative certificate.  A ball of another dimension than the
+    problem's raises InputShapeError (:func:`check_dimension`).
     """
     check_dimension(problem, ball)
     cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
-    points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-    return _sampled_infimum(problem, points, cfg, [1.0])[0]
+    return _sampled_infimum(problem, ball, cfg, [1.0])[0]
 
 
-def _sampled_infimum(problem: ResidualProblem, points: np.ndarray, cfg: SamplingConfig,
+def _sampled_infimum(problem: ResidualProblem, ball: Ball, cfg: SamplingConfig,
                      mus: np.ndarray | list[float]) -> list[float]:
-    """:func:`domination_constant_sampled` over the given points, with ``cfg``'s settings,
-    of G(v) = F(v/mu) for each mu in ``mus`` (at mu = 1.0, F's own: v/1.0 is v).
+    """:func:`domination_constant_sampled` on ``ball``, with ``cfg``'s settings, of
+    G(v) = F(v/mu) for each mu in ``mus`` (at mu = 1.0, F's own: v/1.0 is v).
 
     One pass: the rows v/mu go through :func:`residual_rows` and :func:`vjp_rows` in blocks
     of :func:`block_rows` rows at most, each the points of several whole mu, or a run of the
-    points of one.  A row's gradient is F's divided by its mu.  A norm sqrt(sum(w * F * F))
-    that is infinite makes its ratio 0 or NaN, and a ratio that is not finite gives its mu
-    c = 0.
+    points of one; a block's points are taken from :func:`_sample_points` as it starts.  A
+    row's gradient is F's divided by its mu.  A norm sqrt(sum(w * F * F)) that is infinite
+    makes its ratio 0 or NaN, and a ratio that is not finite gives its mu c = 0.
     """
-    n, count, size = problem.n, len(points), block_rows(problem)
+    n, count, size = problem.n, _sample_count(problem.n, cfg.samples_per_axis), block_rows(problem)
     per, step = max(1, size // count), min(size, count)  # mu and points of one block
-    mus = np.asarray(mus, dtype=float)[:, None, None]
+    mus = np.asarray(mus, dtype=float)
     best = np.full(len(mus), math.inf)
     with np.errstate(all="ignore"):
         for k in range(0, len(mus), per):
-            mu = mus[k:k + per]
+            points = _sample_points(problem, ball, cfg.samples_per_axis, mus[k:k + per])
+            mu = mus[k:k + per, None, None]
             for lo in range(0, count, step):
-                W = (points[lo:lo + step] / mu).reshape(-1, n)
+                W = (points[:, lo:lo + step] / mu).reshape(-1, n)
                 R = np.asarray(residual_rows(problem, W), dtype=float)
                 wR = _weighted(problem, R)
                 rn = np.sqrt(np.sum(wR * R, axis=1))

@@ -363,7 +363,8 @@ def make_parser() -> argparse.ArgumentParser:
         for kind in csvs or ():
             p.add_argument(f"--{kind}-csv", dest=f"{kind}_csv", default=None, help=csv_help[kind])
         p.add_argument("--seed", type=int, default=None,
-                       help="sampling seed (default 42)")
+                       help="seed in [0, 2**32) (default 42): selftest draws its cases "
+                            "from it; certify, search and solve check and report it")
     return parser
 
 

@@ -66,18 +66,21 @@ class DescentConfig:
             raise InvalidConfigurationError(f"initial_step must lie in [{STEP_UNDERFLOW:g}, inf)")
         if not 0.0 < self.backtrack_factor < 1.0:
             raise InvalidConfigurationError("backtrack_factor must lie in (0, 1)")
+        # the rounded logs count the entries down to the first below STEP_UNDERFLOW to
+        # within one (one short at 2.5711008708143844e+45 and 0.5), so the products run one
+        # entry past that count, which they then make exact
         ladder = math.floor((math.log(STEP_UNDERFLOW) - math.log(self.initial_step))
                             / math.log(self.backtrack_factor)) + 2
-        if ladder > MAX_LADDER:  # else the ladder built below is too long to keep
+        if ladder <= MAX_LADDER + 1:  # else the count is too long to keep, to within one
+            steps = np.full(ladder + 1, self.backtrack_factor)
+            steps[0] = self.initial_step
+            steps = np.multiply.accumulate(steps)  # non-increasing, as 0 < factor < 1
+            steps = steps[:np.count_nonzero(steps >= STEP_UNDERFLOW)]
+            ladder = len(steps) + 1
+        if ladder > MAX_LADDER:
             raise InvalidConfigurationError(
                 f"backtrack_factor {self.backtrack_factor!r} needs {ladder} steps from "
                 f"initial_step down to {STEP_UNDERFLOW:g}, more than {MAX_LADDER}")
-        # the rounded logs can count one entry short of the first below STEP_UNDERFLOW
-        # (2.5711008708143844e+45 at 0.5), so the products run one entry past the count
-        steps = np.full(ladder + 1, self.backtrack_factor)
-        steps[0] = self.initial_step
-        steps = np.multiply.accumulate(steps)  # non-increasing, as 0 < factor < 1
-        steps = steps[:np.count_nonzero(steps >= STEP_UNDERFLOW)]
         steps.flags.writeable = False
         object.__setattr__(self, "steps", steps)
         if not 0.0 < self.sufficient_decrease < 1.0:

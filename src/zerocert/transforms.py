@@ -29,7 +29,7 @@ from .certificate import (
     Certificate,
     SamplingConfig,
     _quadratic_lhs,
-    _sample_points,
+    _sample_count,
     _sampled_infimum,
     _verdict,
     check_dimension,
@@ -316,11 +316,13 @@ def search_mu(
     the grid, judged by the rule of :meth:`Certificate.judge`; only the best
     entry becomes a Certificate.  The closed form takes
     lhs = |lam*x**2 - mu**2| over the grid, at each mu bit for bit
-    :func:`transformed_certificate_quadratic`.  Otherwise the ball is sampled
-    once, every G's constant comes from one pass of :func:`_sampled_infimum`
-    over the rows v/mu, and every lhs is the :func:`norm_of_residual` of a
-    row of one :func:`residual_rows` call over the centres x/mu; no G is
-    built.  A row's gradient is F's divided by mu, so each entry is
+    :func:`transformed_certificate_quadratic`.  Otherwise every G's constant
+    comes from one pass of :func:`_sampled_infimum` over the rows v/mu, each
+    mu's points v the probes of G, from one Jacobian of F at x/mu, and every
+    lhs is the :func:`norm_of_residual` of a row of one :func:`residual_rows`
+    call over the centres x/mu; no G is built.  G's Jacobian is scaled as
+    ``recover_problem_independent``'s is, so its probes are G's own bit for
+    bit.  A row's gradient is F's divided by mu, so each entry is
     :func:`certify` on ``recover_problem_independent(scale(mu), F)`` up to
     the rounding of that division: bit for bit for a problem with batched
     hooks, and for every problem when mu is a power of two.  The best entry
@@ -340,9 +342,8 @@ def search_mu(
             lhs = _quadratic_lhs(lam, x, grid)
     else:
         cfg = sampling or SamplingConfig()
-        points = _sample_points(problem, ball, cfg.samples_per_axis, cfg.seed)
-        count = len(points)
-        c = np.array(_sampled_infimum(problem, points, cfg, grid))
+        count = _sample_count(problem.n, cfg.samples_per_axis)
+        c = np.array(_sampled_infimum(problem, ball, cfg, grid))
         R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
         lhs = np.array([norm_of_residual(problem, r) for r in R])
     with np.errstate(over="ignore", invalid="ignore"):

@@ -127,10 +127,10 @@ SAME_C = [
 ]
 
 
-def per_point_reference(problem, ball, spa, seed, floor=1e-12, safety=0.9, mu=1.0):
-    """safety * min ||grad phi(v/mu)|| / (|mu| ||F(v/mu)||) over the sampled points v with
-    ||F(v/mu)|| > floor: the constant of F(v/mu), F's own at mu = 1.0."""
-    points = certificate._sample_points(problem, ball, spa, seed)
+def per_point_reference(problem, ball, spa, floor=1e-12, safety=0.9, mu=1.0):
+    """safety * min ||grad phi(v/mu)|| / (|mu| ||F(v/mu)||) over the sampled points v of
+    F(v/mu) with ||F(v/mu)|| > floor: the constant of F(v/mu), F's own at mu = 1.0."""
+    points = certificate._sample_points(problem, ball, spa, [mu])[0]
     return safety * min(float(np.linalg.norm(grad_phi(problem, v / mu))) / (abs(mu) * rn)
                         for v in points if (rn := residual_norm(problem, v / mu)) > floor)
 
@@ -138,7 +138,7 @@ def per_point_reference(problem, ball, spa, seed, floor=1e-12, safety=0.9, mu=1.
 @pytest.mark.parametrize("name,problem,ball,spa", SAME_C, ids=[case[0] for case in SAME_C])
 @pytest.mark.parametrize("seed", [1, 42])
 def test_sampled_constant_matches_the_per_point_reference(name, problem, ball, spa, seed):
-    reference = per_point_reference(problem, ball, spa, seed)
+    reference = per_point_reference(problem, ball, spa)
     for p in (problem, per_point(problem)):
         c = domination_constant_sampled(p, ball, spa, seed=seed)
         assert c > 0.0
@@ -165,15 +165,15 @@ def test_non_finite_batch_gives_zero_on_both_paths():
 
 
 def test_sampled_certify_takes_no_per_point_gradient():
-    # 65 536 points, all through vjp_batch: no Jacobian, where the per-point
-    # loop over all of them takes seconds
+    # 32 probes, all through vjp_batch: the one Jacobian is the centre's, whose SVD gives
+    # the probes, and no probe takes one
     jacobians = []
     bvp = make_bvp(16, 1.0, "manufactured_sin")
-    p = dataclasses.replace(bvp, jacobian=lambda v: jacobians.append(1) or bvp.jacobian(v))
+    p = dataclasses.replace(bvp, jacobian=lambda v: jacobians.append(v) or bvp.jacobian(v))
     cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
-    assert cert.sample_count == 65536
+    assert cert.sample_count == 32
     assert cert.c > 0.0
-    assert jacobians == []
+    assert len(jacobians) == 1 and not jacobians[0].any()
 
 
 def test_user_problem_without_hooks_takes_the_per_point_path():
@@ -282,11 +282,11 @@ def test_line_search_and_gradient_check_bound_their_blocks():
 
 
 def test_sampled_constant_bounds_its_blocks():
-    # n = 16: 512 rows per batched residual call, 128 calls for 65 536 points
+    # n = 320: 8192 // 320 = 25 rows per batched residual call, 2 calls for 32 probes
     calls = []
-    counted = counting(make_bvp(16, 1.0, "manufactured_sin"), calls)
-    domination_constant_sampled(counted, Ball(np.zeros(16), 0.5), samples_per_axis=2)
-    assert max(calls) == 512 and calls.count(512) == 128
+    counted = counting(make_bvp(320, 1.0, "manufactured_sin"), calls)
+    domination_constant_sampled(counted, Ball(np.zeros(320), 0.5), samples_per_axis=2)
+    assert calls == [25, 7]
 
 
 def golden_case(config):
@@ -418,19 +418,18 @@ def test_non_finite_rows_of_a_block_never_reach_the_compensated_sum(monkeypatch)
     assert summed == [[(0.5625 - 0.3) ** 2]] * 2
 
 
-def test_sampled_sweep_draws_its_points_once(monkeypatch):
-    # every mu is judged on the same points, as certify on its recovered problem judges it;
-    # drawing them for every mu called sample_ball 6 times
+def test_sampled_sweep_takes_one_jacobian_per_mu():
+    # each mu's probes come from one Jacobian of F at x/mu, as certify on its recovered
+    # problem takes them from G's Jacobian at x; no probe takes one
     calls = []
-    original = certificate.sample_ball
-    monkeypatch.setattr(certificate, "sample_ball",
-                        lambda *args, **kwargs: calls.append(1) or original(*args, **kwargs))
     cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
-    method, sampling = cli.build_certificate_settings(cfg, problem, cfg["seed"])
-    found = search_mu(problem, ball, method=method, sampling=sampling,
+    counted = dataclasses.replace(problem,
+                                  jacobian=lambda v: calls.append(v) or problem.jacobian(v))
+    method, sampling = cli.build_certificate_settings(cfg, counted, cfg["seed"])
+    found = search_mu(counted, ball, method=method, sampling=sampling,
                       **cli.build_transform_settings(cfg, True))
-    assert len(calls) == 1
     assert len(found.sweep) == 6
+    assert [v.tobytes() for v in calls] == [(ball.center / p.mu).tobytes() for p in found.sweep]
     for point in found.sweep:
         cert = certify(recover_problem_independent(scale(point.mu), problem), ball, method, sampling)
         assert (point.c, point.lhs, point.rhs, point.passed) == (cert.c, cert.lhs, cert.rhs,
@@ -464,8 +463,8 @@ def floored_quadratic(nan_above=math.inf, zero_above=math.inf):
      "linear"),
     (make_bvp(4, -1.0, "sin_pi", quadrature_weights=True), Ball(SIN_CENTER[4], 0.3),
      (0.4, 3.0), 6, 4, "geometric"),
-    # 1024 points of dimension 10 take two blocks of at most 819 rows for every mu
-    (make_bvp(10, 1.0, "manufactured_sin"), Ball(np.zeros(10), 0.5), (0.5, 2.0), 3, 2,
+    # 32 probes of dimension 320 take two blocks of at most 25 rows for every mu
+    (make_bvp(320, 1.0, "manufactured_sin"), Ball(np.zeros(320), 0.5), (0.5, 2.0), 3, 2,
      "linear"),
     (per_point(make_bvp(4, 1.0, "manufactured_sin")), Ball(SIN_CENTER[4], 0.3), (-2.0, 3.0), 4,
      3, "linear"),
@@ -483,7 +482,7 @@ def test_sampled_sweep_is_certify_on_each_recovered_problem(problem, ball, mu_ra
             assert_sweep_is_certify_on_each_recovered_problem(problem, ball, (mu, mu), 1, sampling)
         sweep = search_mu(problem, ball, mu_range, grid_size, "sampled", sampling, spacing).sweep
         for point in sweep:
-            reference = per_point_reference(problem, ball, spa, sampling.seed, mu=point.mu)
+            reference = per_point_reference(problem, ball, spa, mu=point.mu)
             assert abs(point.c - reference) <= 1e-15 * reference, point.mu
     assert all(point.c > 0.0 for point in sweep)
 
@@ -517,27 +516,27 @@ def test_a_mu_with_every_point_under_the_floor_gets_c_zero():
 
 
 def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
-    # 6 mu x 216 points of dimension 3 fit one block: 1 batched call, where each mu took its own;
-    # the 6 centres x/mu, whose norms are the lhs, take a second
-    cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
+    # n = 64: a block holds 8192 // 64 = 128 rows, the 32 probes of 4 mu, so 10 mu take 3
+    # batched calls, where each mu took its own; the 10 centres x/mu, whose norms are the
+    # lhs, take a fourth
+    problem, ball = make_bvp(64, 1.0, "manufactured_sin"), Ball(np.zeros(64), 1.0)
     blocks = []
     original = problem.residual
     counted = dataclasses.replace(
         problem, residual=lambda V: blocks.extend([len(V)] * (np.ndim(V) == 2)) or original(V))
-    method, sampling = cli.build_certificate_settings(cfg, counted, cfg["seed"])
-    found = search_mu(counted, ball, method=method, sampling=sampling,
-                      **cli.build_transform_settings(cfg, True))
-    assert len(found.sweep) == 6
-    assert blocks == [6 * 216, 6]
+    found = search_mu(counted, ball, (0.5, 3.0), 10, "sampled", SamplingConfig())
+    assert len(found.sweep) == 10
+    assert blocks == [4 * 32, 4 * 32, 2 * 32, 10]
 
 
 def test_sampled_sweep_memory_stays_within_its_blocks():
-    # 51 mu x 20 736 points of dimension 4 as one array would take 34 MB
-    problem, ball = make_bvp(4, 1.0, "manufactured_sin"), Ball(SIN_CENTER[4], 0.3)
-    sampling = SamplingConfig(samples_per_axis=12)
+    # n = 64: a block holds the 32 probes of 4 mu, taken as the block starts; the probes of
+    # 101 mu as one array would take 1.6 MB, 3 times the peak of a sweep of one block
+    problem, ball = make_bvp(64, 1.0, "manufactured_sin"), Ball(np.zeros(64), 1.0)
+    sampling = SamplingConfig()
     peaks = []
-    for run in (lambda: certify(problem, ball, "sampled", sampling),
-                lambda: search_mu(problem, ball, (0.5, 3.0), 51, "sampled", sampling)):
+    for run in (lambda: search_mu(problem, ball, (0.5, 3.0), 4, "sampled", sampling),
+                lambda: search_mu(problem, ball, (0.5, 3.0), 101, "sampled", sampling)):
         tracemalloc.start()
         try:
             run()

@@ -1,5 +1,12 @@
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,17 +18,24 @@ from zerocert import (
     InvalidConfigurationError,
     ResidualProblem,
     SamplingConfig,
+    apply_dependent,
+    build_mu_grid,
     certify,
+    cubic_perturbation,
     domination_constant_sampled,
+    eval_jacobian,
     make_bvp,
     make_quadratic,
     quadratic_domination_constant,
+    recover_problem_independent,
     report,
     residual_norm,
-    sample_ball,
+    scale,
     search_mu,
     transformed_certificate_quadratic,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_closed_form_cases():
@@ -256,73 +270,188 @@ def test_sampling_config_validation():
 
 
 @pytest.mark.parametrize("seed", [-1, 2**32])
-def test_sample_ball_rejects_seed_outside_uint32_range(seed):
-    # -1 used to return all-NaN points; 2**32 sampled past the seed range
+def test_sampled_constant_rejects_seed_outside_uint32_range(seed):
+    # the seed changes no point, but it is still checked wherever it is taken
     with pytest.raises(InvalidConfigurationError, match=r"\[0, 2\*\*32\)"):
-        sample_ball(np.zeros(2), 1.0, 3, seed=seed)
+        domination_constant_sampled(make_bvp(4, 1.0), Ball(np.zeros(4), 1.0), seed=seed)
 
 
-def test_sample_ball_points_inside_and_deterministic():
-    center = np.array([1.0, -2.0, 0.5])
-    pts = sample_ball(center, 2.0, 500, seed=42)
-    assert pts.shape == (500, 3)
-    assert np.all(np.linalg.norm(pts - center, axis=1) <= 2.0 + 1e-12)
-    again = sample_ball(center, 2.0, 500, seed=42)
-    assert np.array_equal(pts, again)
-    shifted = sample_ball(center, 2.0, 500, seed=43)
-    assert not np.array_equal(pts, shifted)
+def user_problem(n, m, jacobian=None):
+    """F: R^n -> R^m without hooks, F_i(v) = v_i**3 + v_(i+1 mod n) - 1, from its
+    finite-difference Jacobian unless one is given."""
+    rows = np.arange(m) % n
+    return ResidualProblem(name=f"user{n}x{m}", n=n, m=m, jacobian=jacobian,
+                           residual=lambda v: v[rows] ** 3 + v[(rows + 1) % n] - 1.0)
 
 
-def digit_loop_radical_inverse(indices, base):
-    """The radical inverse one digit at a time over every index, stopping when all are 0."""
-    i = indices.astype(np.int64)
-    f = 1.0
-    out = np.zeros(len(i))
-    while np.any(i > 0):
-        f /= base
-        out += f * (i % base)
-        i //= base
-    return out
+PROBED = {
+    "bvp2": (make_bvp(2, 1.0, "manufactured_sin"), Ball(np.array([0.3, -0.2]), 0.5)),
+    "bvp3-weighted": (make_bvp(3, 1.0, "sin_pi", True), Ball(np.array([0.5, 0.7, 0.5]), 0.5)),
+    "bvp8": (make_bvp(8, 2.0, "zero"), Ball(np.linspace(-1.0, 1.0, 8), 2.0)),
+    "bvp9-weighted": (make_bvp(9, 0.0, "sin_pi", True), Ball(np.zeros(9), 0.25)),
+    "bvp64": (make_bvp(64, 1.0, "manufactured_sin"), Ball(np.zeros(64), 1.0)),
+    # fewer equations than unknowns: the weakest directions span J's null space
+    "user3x2": (user_problem(3, 2), Ball(np.array([0.5, 1.0, -0.5]), 0.3)),
+    "user2x3": (user_problem(2, 3), Ball(np.array([1.0, 0.5]), 0.3)),
+    "user10x10": (user_problem(10, 10), Ball(np.full(10, 0.5), 0.1)),
+    "scaled-bvp": (recover_problem_independent(scale(-2.5), make_bvp(5, 1.0, "sin_pi", True)),
+                   Ball(np.full(5, 0.3), 0.4)),
+    "cubic-bvp": (apply_dependent(cubic_perturbation(0.5), make_bvp(12, -1.0, "sin_pi")),
+                  Ball(np.full(12, -0.3), 0.4)),
+}
 
 
-def per_pair_sample_ball(center, radius, count, seed):
-    """sample_ball with its Box-Muller step written as a loop over the pairs of columns."""
-    n = len(center)
-    pairs = (n + 1) // 2
-    idx = np.arange(1 + seed * count, 1 + seed * count + count)
-    bases = certificate._first_primes(2 * pairs + 1)
-    u = np.column_stack([digit_loop_radical_inverse(idx, b) for b in bases])
-    z = np.empty((count, 2 * pairs))
-    for p in range(pairs):
-        rho = np.sqrt(-2.0 * np.log(u[:, 2 * p]))
-        ang = 2.0 * np.pi * u[:, 2 * p + 1]
-        z[:, 2 * p] = rho * np.cos(ang)
-        z[:, 2 * p + 1] = rho * np.sin(ang)
-    z = z[:, :n]
-    norms = np.linalg.norm(z, axis=1)
-    norms[norms == 0.0] = 1.0
-    radii = radius * u[:, -1] ** (1.0 / n)
-    return center + z / norms[:, None] * radii[:, None]
+@pytest.mark.parametrize("name", sorted(PROBED))
+def test_probes_are_deterministic_and_lie_on_the_sphere_or_the_half_radius_sphere(name):
+    problem, ball = PROBED[name]
+    x, r, k = ball.center, ball.radius, min(8, problem.n)
+    points = certificate._sample_points(problem, ball, 2, [1.0])[0]
+    assert points.shape == (4 * k, problem.n)
+    assert points.tobytes() == certificate._sample_points(problem, ball, 2, [1.0])[0].tobytes()
+    offsets = points - x
+    np.testing.assert_allclose(np.linalg.norm(offsets, axis=1), np.repeat([r, r, r / 2, r / 2], k),
+                               rtol=1e-6)
+    ulp = 2.0**-52 * (np.max(np.abs(x)) + r)  # the rounding of x + offset
+    np.testing.assert_allclose(offsets[k:2 * k], -offsets[:k], rtol=0.0, atol=2 * ulp)
+    np.testing.assert_allclose(offsets[2 * k:3 * k], offsets[:k] / 2, rtol=0.0, atol=2 * ulp)
+    np.testing.assert_allclose(offsets[3 * k:], -offsets[:k] / 2, rtol=0.0, atol=2 * ulp)
+    # k orthonormal directions (to float32 rounding) along the smallest singular values
+    V = offsets[:k] / r
+    np.testing.assert_allclose(V @ V.T, np.eye(k), atol=1e-6)
+    A = eval_jacobian(problem, x)
+    if problem.weights is not None:
+        A = np.sqrt(problem.weights)[:, None] * A
+    sigma = np.concatenate([np.linalg.svd(A, compute_uv=False), np.zeros(problem.n)])[:problem.n]
+    np.testing.assert_allclose(np.sort(np.linalg.norm(A @ V.T, axis=0)), np.sort(sigma)[:k],
+                               rtol=1e-5, atol=1e-6 * sigma[0])
+    assert certify(problem, ball).sample_count == 4 * k
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 16, 17, 64])
-@pytest.mark.parametrize("seed", [0, 42, 2**32 - 1])
-def test_sample_ball_transforms_all_pairs_at_once_bit_for_bit(n, seed):
-    center = np.linspace(-1.0, 2.0, n)
-    pts = sample_ball(center, 0.75, 257, seed)
-    assert pts.tobytes() == per_pair_sample_ball(center, 0.75, 257, seed).tobytes()
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 10, 16, 17, 64])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_a_sweeps_probes_are_each_recovered_problems_bit_for_bit(n, weighted):
+    # G = F o B^-1 takes its probes from eval_jacobian(F, x/mu) * (1.0/mu), as
+    # recover_problem_independent's Jacobian is built, and several mu at once are each mu alone
+    problem = make_bvp(n, 1.0, "manufactured_sin", weighted)
+    ball = Ball(np.linspace(-1.0, 2.0, n), 0.75)
+    mus = build_mu_grid((-2.5, 3.0), 9, "geometric")[0]
+    sweep = certificate._sample_points(problem, ball, 2, mus)
+    for points, mu in zip(sweep, mus.tolist()):
+        alone = certificate._sample_points(problem, ball, 2, [mu])[0]
+        recovered = recover_problem_independent(scale(mu), problem)
+        own = certificate._sample_points(recovered, ball, 2, [1.0])[0]
+        assert points.tobytes() == alone.tobytes() == own.tobytes(), mu
 
 
-@pytest.mark.parametrize("base", certificate._first_primes(65))
-def test_radical_inverse_from_tables_is_the_digit_loop_bit_for_bit(base):
-    # counts on both sides of each table size base**K; starts past 2**32 * count reach
-    # many digits above the table's
-    for count in sorted({1, 2, base - 1, base, base + 1, base**2 - 1, base**2 + 1,
-                         625, 1024, 4096}):
-        for start in {0, 1} | {1 + seed * count for seed in (0, 700, 2**32 - 1)}:
-            got = certificate._radical_inverse(start, count, base)
-            want = digit_loop_radical_inverse(np.arange(start, start + count), base)
-            assert got.tobytes() == want.tobytes(), (start, count)
+def test_probes_do_not_hang_on_the_blas_kernel():
+    # the directions are rounded to float32, so the last bits an SVD kernel gives them change
+    # no probe: an OpenBLAS built for several CPUs takes the kernel OPENBLAS_CORETYPE names
+    code = ("import hashlib, numpy as np; from zerocert import Ball, certificate, make_bvp; "
+            "p = make_bvp(16, 1.0, 'manufactured_sin', True); "
+            "ball = Ball(np.linspace(-1, 1, 16), 0.5); "
+            "pts = certificate._sample_points(p, ball, 2, [1.0, 0.7]); "
+            "print(hashlib.sha256(pts.tobytes()).hexdigest())")
+    digests = set()
+    for core in ("Prescott", "Nehalem", "Sandybridge", "Haswell", "SkylakeX"):
+        env = {**os.environ, "OPENBLAS_CORETYPE": core,
+               "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.add(run.stdout)
+    assert len(digests) == 1
+
+
+def bvp_ball(n, center, radius, weighted=False):
+    p = make_bvp(n, 1.0, "manufactured_sin", weighted)
+    x = np.zeros(n) if center == "0" else np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+    return p, Ball(x, radius)
+
+
+@pytest.mark.parametrize("n, center, radius, passed", [
+    (10, "0", 0.5, False), (4, "0", 0.5, False), (16, "0", 0.5, False), (64, "0", 1.0, False),
+    (10, "sin", 0.1, True), (16, "0", 5.0, True),
+])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+def test_sampled_certificate_follows_the_zero_on_bvp_balls(n, center, radius, passed, weighted):
+    # the BVP with gamma = 1 has one zero, near sin(pi t); the four balls around 0 with radius
+    # 0.5 or 1 hold none, yet 1 024, 65 536 and 10^6 Halton points gave c = 192, 475 and
+    # 10 120 and passed three of them, where sigma_min(J) is about 9.8.  Weights h scale
+    # c and ||F(x)|| alike by sqrt(h), so they leave each verdict as it is
+    problem, ball = bvp_ball(n, center, radius, weighted)
+    cert = certify(problem, ball)
+    assert cert.passed is passed
+    assert 8.5 < cert.c / (math.sqrt(1.0 / (n + 1)) if weighted else 1.0) < 11.0
+
+
+def bvp_lambda_min(n):
+    """The smallest eigenvalue of L = tridiag(-1, 2, -1) / h**2, h = 1/(n+1)."""
+    return 4.0 * (n + 1) ** 2 * math.sin(math.pi / (2 * (n + 1))) ** 2
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("draw", range(8))
+def test_probe_constant_is_at_least_the_rigorous_constant(n, weighted, draw):
+    # gamma >= 0 makes J(v) = L + 3 gamma diag(v^2) >= L, so every probe ratio
+    # ||J^T w F|| / ||w^(1/2) F|| is at least sqrt(w) lambda_min(L): the estimate, an upper
+    # bound on the infimum over the ball, never falls below this lower bound on it.  One
+    # seeded ball per draw, around a centre of size 0.05 to 1 with radius 0.05 to 3
+    rng = np.random.default_rng([n, weighted, draw])
+    forcing = ("zero", "sin_pi", "manufactured_sin")[rng.integers(3)]
+    problem = make_bvp(n, rng.uniform(0.0, 5.0), forcing, weighted)
+    ball = Ball(rng.normal(scale=rng.choice([0.05, 0.3, 1.0]), size=n), rng.uniform(0.05, 3.0))
+    c = domination_constant_sampled(problem, ball, safety=1.0)
+    w = 1.0 / (n + 1) if weighted else 1.0
+    assert c >= math.sqrt(w) * bvp_lambda_min(n) * (1.0 - 1e-12), (problem.params, ball)
+
+
+@pytest.mark.parametrize("center", [1e160, -1e200])
+def test_a_bvp_jacobian_that_overflows_at_the_centre_gives_c_zero_silently(center):
+    # 3 gamma v^2 overflows on the diagonal at x/mu for every mu; the probes' SVD is never
+    # taken (||F(x/mu)||, a sweep's lhs, may warn outside the commands' errstate)
+    problem, ball = make_bvp(4, 1.0, "manufactured_sin"), Ball(np.full(4, center), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            c = domination_constant_sampled(problem, ball)
+            swept = certificate._sampled_infimum(problem, ball, SamplingConfig(), [0.5, 1.0, 2.0])
+    assert c == 0.0 and swept == [0.0] * 3
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_jacobian_not_finite_at_the_centre_gives_c_zero_silently(bad):
+    # F(v) = (v0^2 + 1, v1 + 2) without hooks, whose Jacobian hook reads `bad` at the centre
+    # 0: its SVD would raise "SVD did not converge", and every mu of a sweep has that centre
+    def jacobian(v):
+        return np.full((2, 2), bad) if not v.any() else np.array([[2.0 * v[0], 0.0], [0.0, 1.0]])
+
+    problem = ResidualProblem(name="user", n=2, m=2, jacobian=jacobian,
+                              residual=lambda v: np.array([v[0] ** 2 + 1.0, v[1] + 2.0]))
+    ball = Ball(np.zeros(2), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify(problem, ball)
+        found = search_mu(problem, ball, (0.5, 2.0), 3)
+    assert (cert.c, cert.passed, cert.sample_count) == (0.0, False, 8)
+    assert [point.c for point in found.sweep] == [0.0] * 3 and not found.any_passed
+
+
+def test_a_sampled_certificate_at_n_512_evaluates_32_points(monkeypatch):
+    # the Halton sampler took 10^6 points of dimension 512, 4 GB; the probes take one
+    # 512 x 512 Jacobian and its SVD
+    calls = []
+    problem, ball = bvp_ball(512, "0", 30.0)
+    original = problem.residual
+    counted = dataclasses.replace(problem, residual=lambda V: calls.append(len(V)) or original(V))
+    tracemalloc.start()
+    try:
+        cert = certify(counted, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.sample_count == 32 and cert.passed
+    assert sum(calls) == 512 + 32  # the centre's residual, then 2 blocks of 16 probes
+    assert peak < 20 * 2**20
 
 
 def test_certify_closed_form_is_the_sweep_closed_form_at_mu_one():

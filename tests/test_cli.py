@@ -12,7 +12,7 @@ import pytest
 
 from zerocert import SweepPoint, cli
 from zerocert.report import write_sweep_csv, write_trace_csv
-from test_golden import GOLDEN, run_case
+from test_golden import CASES, GOLDEN, _without_timings, run_case
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -427,18 +427,25 @@ def test_selftest_detects_corrupted_constant(capsys, monkeypatch):
         "bvp {'grid_points': 16, 'gamma': 0.0, 'forcing': 'sin_pi'} point 0")
 
 
-def test_seed_flag_changes_sampling(tmp_path, capsys):
-    cfg = {
-        "problem": {"name": "bvp", "grid_points": 4, "gamma": 1.0, "forcing": "zero"},
-        "ball": {"center": [0.5, 0.5, 0.5, 0.5], "radius": 0.25},
-        "certificate": {"method": "sampled", "samples_per_axis": 6},
-    }
-    rc1, rep1 = run(tmp_path, "certify", cfg, extra=("--seed", "1"))
-    rc2, rep2 = run(tmp_path, "certify", cfg, extra=("--seed", "2"))
-    capsys.readouterr()
-    assert rc1 == rc2 == 0
-    assert rep1["seed"] == 1 and rep2["seed"] == 2
-    assert rep1["certificate"]["c"] != rep2["certificate"]["c"]
+@pytest.mark.parametrize("case", ["bvp10_sampled_certify", "bvp_weighted_geometric_search",
+                                  "bvp16_gauss_newton_solve"])
+def test_the_seed_changes_no_output_but_its_own(tmp_path, capsys, case):
+    # the probes are deterministic: two seeds give the same stdout, CSV and report bytes
+    # apart from the report's "seed" line, on a sampled certify, search and solve
+    command, config, csv_kind = CASES[case]
+    outputs = []
+    for seed in ("1", "2"):
+        argv = [command, "--config", str(GOLDEN / config), "--report", str(tmp_path / "r.json"),
+                "--seed", seed]
+        if csv_kind:
+            argv += [f"--{csv_kind}-csv", str(tmp_path / "out.csv")]
+        assert cli.main(argv) == 0
+        report = _without_timings((tmp_path / "r.json").read_bytes())
+        assert report.count(f'\n  "seed": {seed},\n'.encode()) == 1
+        outputs.append((report.replace(f'"seed": {seed},'.encode(), b'"seed": S,'),
+                        capsys.readouterr().out,
+                        (tmp_path / "out.csv").read_bytes() if csv_kind else None))
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("problem,center,lhs", [

@@ -273,6 +273,17 @@ def test_a_long_ladder_within_the_bound_is_allowed():
     assert len(DescentConfig(backtrack_factor=0.9999).steps) == 368396 < descent.MAX_LADDER
 
 
+def test_the_ladder_bound_counts_the_first_entry_below_exactly(monkeypatch):
+    # from 2.5711008708143844e+45 at 0.5, 205 entries lie at or above 1e-16 and the 206th is
+    # the first below, where the logs count 205: a bound of 205 let the ladder through
+    settings = {"initial_step": 2.5711008708143844e+45, "backtrack_factor": 0.5}
+    monkeypatch.setattr(descent, "MAX_LADDER", 205)
+    with pytest.raises(InvalidConfigurationError, match="needs 206 steps .* more than 205"):
+        DescentConfig(**settings)
+    monkeypatch.setattr(descent, "MAX_LADDER", 206)
+    assert len(DescentConfig(**settings).steps) == 205
+
+
 def test_the_smallest_initial_step_takes_steps():
     # F = 1e15 u^2 - 1 at 4e-8, with its zero at 3.16e-8: the gradient 4.8e7 moves u by
     # 4.8e-9 at the step 1e-16, and phi falls at every iteration
