@@ -14,8 +14,8 @@ the slack r*c - ||F(x)|| to quantify how the conflict resolved.
 Two estimators for c are provided: the exact closed form for the quadratic
 family, and a sampled minimum of ||grad phi|| / ||F||, scaled by a safety
 factor.  The sampled points are a uniform grid in dimension 1 and, in higher
-dimensions, a few deterministic probes at distances r and r/2 from the
-centre along the directions in which F changes least there: the right
+dimensions, the centre x and a few deterministic probes at distances r and
+r/2 from it along the directions in which F changes least there: the right
 singular vectors of W^(1/2) J(x) with the smallest singular values.  A
 sampled minimum is an upper bound on the infimum over the ball, so sampled
 certificates are advisory (an estimate, not a proven bound).
@@ -78,14 +78,12 @@ class SamplingConfig:
     conditioned).  ``safety`` in (0, 1] shrinks the estimate to hedge
     against the sampled infimum overshooting the true one.
     ``samples_per_axis`` is the size of the grid in dimension 1; in higher
-    dimensions the probes do not depend on it.  ``seed`` is checked by
-    :func:`check_seed` and changes no point.
+    dimensions the probes do not depend on it.
     """
 
     samples_per_axis: int = 1001
     residual_floor: float = 1e-12
     safety: float = 0.9
-    seed: int = 42
 
     def __post_init__(self):
         if self.samples_per_axis < 2:
@@ -94,7 +92,6 @@ class SamplingConfig:
             raise InvalidConfigurationError("residual_floor must be positive")
         if not 0.0 < self.safety <= 1.0:
             raise InvalidConfigurationError("safety must lie in (0, 1]")
-        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,9 @@ def _quadratic_lhs(lam: float, x: float, mu):
 
 def _sample_count(n: int, samples_per_axis: int) -> int:
     """How many points :func:`_sample_points` takes per mu in dimension ``n``: a grid of
-    ``samples_per_axis`` points, at most 10**6, in dimension 1, else 4 * min(8, n) probes."""
-    return min(samples_per_axis, 10**6) if n == 1 else 4 * min(PROBE_DIRECTIONS, n)
+    ``samples_per_axis`` points, at most 10**6, in dimension 1, else the centre and
+    4 * min(8, n) probes."""
+    return min(samples_per_axis, 10**6) if n == 1 else 4 * min(PROBE_DIRECTIONS, n) + 1
 
 
 def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int,
@@ -205,10 +203,11 @@ def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int,
     for each mu in ``mus`` (F's own at mu = 1.0), as a (len(mus), count, n) array.
 
     Dimension 1 takes the uniform grid with both ends, the same for every mu.  Otherwise
-    the probes are x +- r*v and x +- (r/2)*v over the k = min(8, n) right singular vectors
+    the points are the centre x, where a critical point of phi that is no zero gives c = 0,
+    and the probes x +- r*v and x +- (r/2)*v over the k = min(8, n) right singular vectors
     v of W^(1/2) J with the smallest singular values, where J = eval_jacobian(F, x/mu) *
     (1.0/mu) is G's Jacobian at x as :func:`recover_problem_independent` computes it, each
-    v rounded to float32.  A J that is not finite gives NaN probes, at which F, and so
+    v rounded to float32.  A J that is not finite gives NaN points, at which F, and so
     every ratio, is NaN.
     """
     x, r, count = ball.center, ball.radius, _sample_count(problem.n, samples_per_axis)
@@ -226,7 +225,7 @@ def _sample_points(problem: ResidualProblem, ball: Ball, samples_per_axis: int,
             # gives the SVD: a config gives the same report on every CPU
             weakest = np.linalg.svd(jac, full_matrices=m < n)[2][-k:].astype(np.float32)
             offsets = np.concatenate([weakest, -weakest], dtype=float)
-            out[:] = x + np.concatenate([r * offsets, (0.5 * r) * offsets])
+            out[:] = x + np.concatenate([np.zeros((1, n)), r * offsets, (0.5 * r) * offsets])
     return points
 
 
@@ -236,19 +235,19 @@ def domination_constant_sampled(
     samples_per_axis: int = 1001,
     residual_floor: float = 1e-12,
     safety: float = 0.9,
-    seed: int = 42,
 ) -> float:
     """Estimate the domination constant as a sampled infimum over the ball.
 
     Returns safety * min ||grad phi(v)|| / ||F(v)|| over the points of
     :func:`_sample_points` with ||F(v)|| above the floor: in dimension 1 a
     uniform grid of ``samples_per_axis`` points (at most 10^6) including both
-    endpoints, in higher dimensions 4 * min(8, n) probes along the directions
-    in which F changes least at the centre, where points spread over the ball
-    overshoot the infimum by orders of magnitude once n is large.  For a
-    square J each probe ratio is at least the smallest singular value of
-    W^(1/2) J at the probe.  The estimate is still an upper bound on the
-    infimum, not a proof.  ``seed`` is validated and changes nothing.
+    endpoints, in higher dimensions the centre and 4 * min(8, n) probes along
+    the directions in which F changes least there, where points spread over
+    the ball overshoot the infimum by orders of magnitude once n is large.
+    For a square J each probe ratio is at least the smallest singular value
+    of W^(1/2) J at the probe.  The estimate is still an upper bound on the
+    infimum, not a proof: in low dimension the probes can miss a critical
+    point of phi off the centre that points spread over the ball would find.
     Returns 0 when every point sits at the floor (the infimum is
     undetermined) or when any residual norm or ratio is NaN or infinite (the
     norm is infinite where the squares of F overflow, and every ratio is NaN
@@ -257,7 +256,7 @@ def domination_constant_sampled(
     problem's raises InputShapeError (:func:`check_dimension`).
     """
     check_dimension(problem, ball)
-    cfg = SamplingConfig(samples_per_axis, residual_floor, safety, seed)
+    cfg = SamplingConfig(samples_per_axis, residual_floor, safety)
     return _sampled_infimum(problem, ball, cfg, [1.0])[0]
 
 
@@ -334,8 +333,7 @@ def certify(
         return transformed_certificate_quadratic(problem.params["lambda"], 1.0, ball.center[0],
                                                  ball.radius)
     cfg = sampling or SamplingConfig()
-    c = domination_constant_sampled(
-        problem, ball, cfg.samples_per_axis, cfg.residual_floor, cfg.safety, cfg.seed
-    )
+    c = domination_constant_sampled(problem, ball, cfg.samples_per_axis, cfg.residual_floor,
+                                    cfg.safety)
     return Certificate.judge(ball, c, residual_norm(problem, ball.center), method,
                              _sample_count(problem.n, cfg.samples_per_axis))

@@ -202,12 +202,12 @@ def build_ball(cfg: dict, problem: ResidualProblem) -> Ball:
         return Ball(np.asarray(center, dtype=float), float(radius))
 
 
-def build_certificate_settings(cfg: dict, problem: ResidualProblem, seed: int):
+def build_certificate_settings(cfg: dict, problem: ResidualProblem):
     settings = dict(cfg.get("certificate", {}))
     method = settings.pop("method", METHOD_SAMPLED)
     with _section("certificate"):
         check_method(problem, method)
-        sampling = SamplingConfig(seed=seed, **settings)
+        sampling = SamplingConfig(**settings)
     return method, sampling
 
 
@@ -284,7 +284,7 @@ def run_command(command: str, cfg: dict, args) -> None:
         paths[key] = output.get(key) if flag is None else flag
     problem = build_problem(cfg)
     ball = build_ball(cfg, problem)
-    method, sampling = build_certificate_settings(cfg, problem, seed)
+    method, sampling = build_certificate_settings(cfg, problem)
     tset = build_transform_settings(cfg, required=command == "search")
     descent_cfg = build_descent_config(cfg)
     solving = command == "solve"

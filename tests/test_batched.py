@@ -136,11 +136,10 @@ def per_point_reference(problem, ball, spa, floor=1e-12, safety=0.9, mu=1.0):
 
 
 @pytest.mark.parametrize("name,problem,ball,spa", SAME_C, ids=[case[0] for case in SAME_C])
-@pytest.mark.parametrize("seed", [1, 42])
-def test_sampled_constant_matches_the_per_point_reference(name, problem, ball, spa, seed):
+def test_sampled_constant_matches_the_per_point_reference(name, problem, ball, spa):
     reference = per_point_reference(problem, ball, spa)
     for p in (problem, per_point(problem)):
-        c = domination_constant_sampled(p, ball, spa, seed=seed)
+        c = domination_constant_sampled(p, ball, spa)
         assert c > 0.0
         assert abs(c - reference) <= 1e-15 * reference
 
@@ -165,13 +164,13 @@ def test_non_finite_batch_gives_zero_on_both_paths():
 
 
 def test_sampled_certify_takes_no_per_point_gradient():
-    # 32 probes, all through vjp_batch: the one Jacobian is the centre's, whose SVD gives
-    # the probes, and no probe takes one
+    # the centre and 32 probes, all through vjp_batch: the one Jacobian is the centre's, whose
+    # SVD gives the probes, and no point takes one
     jacobians = []
     bvp = make_bvp(16, 1.0, "manufactured_sin")
     p = dataclasses.replace(bvp, jacobian=lambda v: jacobians.append(v) or bvp.jacobian(v))
     cert = certify(p, Ball(np.zeros(16), 0.5), "sampled", SamplingConfig(samples_per_axis=2))
-    assert cert.sample_count == 32
+    assert cert.sample_count == 33
     assert cert.c > 0.0
     assert len(jacobians) == 1 and not jacobians[0].any()
 
@@ -282,11 +281,12 @@ def test_line_search_and_gradient_check_bound_their_blocks():
 
 
 def test_sampled_constant_bounds_its_blocks():
-    # n = 320: 8192 // 320 = 25 rows per batched residual call, 2 calls for 32 probes
+    # n = 320: 8192 // 320 = 25 rows per batched residual call, 2 calls for the centre and
+    # 32 probes
     calls = []
     counted = counting(make_bvp(320, 1.0, "manufactured_sin"), calls)
     domination_constant_sampled(counted, Ball(np.zeros(320), 0.5), samples_per_axis=2)
-    assert calls == [25, 7]
+    assert calls == [25, 8]
 
 
 def golden_case(config):
@@ -425,7 +425,7 @@ def test_sampled_sweep_takes_one_jacobian_per_mu():
     cfg, problem, ball = golden_case("bvp_weighted_geometric.json")
     counted = dataclasses.replace(problem,
                                   jacobian=lambda v: calls.append(v) or problem.jacobian(v))
-    method, sampling = cli.build_certificate_settings(cfg, counted, cfg["seed"])
+    method, sampling = cli.build_certificate_settings(cfg, counted)
     found = search_mu(counted, ball, method=method, sampling=sampling,
                       **cli.build_transform_settings(cfg, True))
     assert len(found.sweep) == 6
@@ -463,7 +463,7 @@ def floored_quadratic(nan_above=math.inf, zero_above=math.inf):
      "linear"),
     (make_bvp(4, -1.0, "sin_pi", quadrature_weights=True), Ball(SIN_CENTER[4], 0.3),
      (0.4, 3.0), 6, 4, "geometric"),
-    # 32 probes of dimension 320 take two blocks of at most 25 rows for every mu
+    # the 33 points of dimension 320 take two blocks of at most 25 rows for every mu
     (make_bvp(320, 1.0, "manufactured_sin"), Ball(np.zeros(320), 0.5), (0.5, 2.0), 3, 2,
      "linear"),
     (per_point(make_bvp(4, 1.0, "manufactured_sin")), Ball(SIN_CENTER[4], 0.3), (-2.0, 3.0), 4,
@@ -516,9 +516,9 @@ def test_a_mu_with_every_point_under_the_floor_gets_c_zero():
 
 
 def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
-    # n = 64: a block holds 8192 // 64 = 128 rows, the 32 probes of 4 mu, so 10 mu take 3
+    # n = 64: a block holds 8192 // 64 = 128 rows, the 33 points of 3 mu, so 10 mu take 4
     # batched calls, where each mu took its own; the 10 centres x/mu, whose norms are the
-    # lhs, take a fourth
+    # lhs, take a fifth
     problem, ball = make_bvp(64, 1.0, "manufactured_sin"), Ball(np.zeros(64), 1.0)
     blocks = []
     original = problem.residual
@@ -526,11 +526,11 @@ def test_sampled_sweep_takes_one_residual_block_for_all_its_mu():
         problem, residual=lambda V: blocks.extend([len(V)] * (np.ndim(V) == 2)) or original(V))
     found = search_mu(counted, ball, (0.5, 3.0), 10, "sampled", SamplingConfig())
     assert len(found.sweep) == 10
-    assert blocks == [4 * 32, 4 * 32, 2 * 32, 10]
+    assert blocks == [3 * 33, 3 * 33, 3 * 33, 33, 10]
 
 
 def test_sampled_sweep_memory_stays_within_its_blocks():
-    # n = 64: a block holds the 32 probes of 4 mu, taken as the block starts; the probes of
+    # n = 64: a block holds the 33 points of 3 mu, taken as the block starts; the points of
     # 101 mu as one array would take 1.6 MB, 3 times the peak of a sweep of one block
     problem, ball = make_bvp(64, 1.0, "manufactured_sin"), Ball(np.zeros(64), 1.0)
     sampling = SamplingConfig()

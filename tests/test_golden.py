@@ -26,7 +26,8 @@ CASES = {
     "readme_certify": ("certify", "readme.json", None),
     "readme_search": ("search", "readme.json", "sweep"),
     "readme_solve": ("solve", "readme.json", "trace"),
-    # the one sampled certificate: 32 probes along the weakest directions of J at the centre
+    # the one sampled certificate: the centre and 32 probes along the weakest directions of
+    # J there
     "bvp10_sampled_certify": ("certify", "bvp10_sampled.json", None),
     "bvp16_gauss_newton_solve": ("solve", "bvp16_gauss_newton.json", "trace"),
     # the one case with more than 16 unknowns

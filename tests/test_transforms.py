@@ -433,7 +433,7 @@ def test_sampled_sweep_is_the_scalar_reference_bit_for_bit(name):
                                         spa)
         lhs = norm_of_residual(problem, eval_residual(problem, ball.center / mu))
         certs.append(Certificate.judge(ball, c, lhs, "sampled",
-                                       spa if problem.n == 1 else 4 * min(8, problem.n)))
+                                       spa if problem.n == 1 else 4 * min(8, problem.n) + 1))
     assert_sweep_is_the_scalar_reference(found, certs)
     if name == "non-finite-lhs":  # x/mu is -500 at the NaN and 500 at the inf
         lhs = [p.lhs for p in found.sweep]
