@@ -335,5 +335,6 @@ def certify(
     cfg = sampling or SamplingConfig()
     c = domination_constant_sampled(problem, ball, cfg.samples_per_axis, cfg.residual_floor,
                                     cfg.safety)
-    return Certificate.judge(ball, c, residual_norm(problem, ball.center), method,
-                             _sample_count(problem.n, cfg.samples_per_axis))
+    with np.errstate(over="ignore", invalid="ignore"):  # F may overflow at the centre: lhs inf
+        return Certificate.judge(ball, c, residual_norm(problem, ball.center), method,
+                                 _sample_count(problem.n, cfg.samples_per_axis))

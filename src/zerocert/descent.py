@@ -18,8 +18,8 @@ from .certificate import Ball
 from .exceptions import InvalidConfigurationError
 from .functional import (_compensated_sum, _weighted, norm_of_residual, phi_of_residual,
                          residual_norm)
-from .problems import (ResidualProblem, block_rows, checked_output, eval_jacobian, eval_residual,
-                       residual_rows, vjp_rows)
+from .problems import (TAIL_ELEMENTS, ResidualProblem, block_rows, checked_output, eval_jacobian,
+                       eval_residual, residual_rows, vjp_rows)
 
 STEP_UNDERFLOW = 1e-16
 MAX_LADDER = 10**6  # steps from initial_step to the first below STEP_UNDERFLOW: 8 MB
@@ -209,9 +209,10 @@ def solve(
 
     A problem with ``vjp_batch`` has its ladder evaluated in blocks of
     trials, one batched ``residual`` call each: the first block holds
-    ladder entries 0 ... 2a + 1, where a is the index the previous
-    iteration accepted, each later block is twice as long, and none exceeds
-    :func:`residual_rows`'s element bound.  The first passing trial in
+    ladder entries 0 ... a + s, where a is the index the previous iteration
+    accepted and the speculative tail s = max(2, 64 // n) shrinks as rows
+    get dearer (``problems.TAIL_ELEMENTS``), each later block is twice as
+    long, and none exceeds :func:`residual_rows`'s element bound.  The first passing trial in
     ladder order is the one the sequential search accepts, so the iterates
     are bit-identical to it.  Any other problem evaluates one trial at a
     time.  A trial whose float sum of squares is NaN, infinite or proves
@@ -225,7 +226,9 @@ def solve(
     cfg = config or DescentConfig()
     v = ball.center.astype(float)
     trace: list[tuple] | None = [] if record_trace else None
-    accepted = 0  # the ladder index of the last accepted step
+    # the ladder index the last line search accepted, and how many entries past it the next
+    # search's first block speculates: fewer as a row of n entries costs more
+    accepted, tail = 0, max(2, TAIL_ELEMENTS // problem.n)
 
     k = 0
     status = STATUS_CONVERGED
@@ -248,7 +251,7 @@ def solve(
                 status = STATUS_STALLED
                 break
 
-            found = _line_search(problem, ball, cfg, v, d, slope, phi_v, 2 * (accepted + 1))
+            found = _line_search(problem, ball, cfg, v, d, slope, phi_v, accepted + 1 + tail)
             if found is None:
                 status = STATUS_STALLED
                 break

@@ -16,6 +16,7 @@ from .exceptions import InputShapeError, InvalidConfigurationError
 
 FD_STEP_SCALE = 1e-6  # per-coordinate central-difference step is FD_STEP_SCALE*(1+|v_i|)
 BLOCK_ELEMENTS = 1 << 13  # rows * n of one batched residual evaluation: bounds its temporaries
+TAIL_ELEMENTS = 64  # rows * n a first line-search block evaluates past the last accepted step
 
 
 @dataclass(frozen=True)
@@ -217,7 +218,8 @@ def make_bvp(
     tridiagonal: -1/h^2 off the diagonal and ``diagonal(v)`` = 2/h^2 +
     3*gamma*v^2 on it, one function that ``jacobian``, ``vjp_batch`` and
     ``newton_solve`` (a Thomas solve, whose pivots start from it) all read.
-    ``residual`` and ``vjp_batch`` take the stencil on shifted slices, no Jacobian.
+    ``residual`` and ``vjp_batch`` take the stencil on shifted slices of v (or Y)
+    copied between zero end columns, without a Jacobian.
 
     ``forcing`` is a vectorized callable t -> f(t) or the name of a built-in
     (see :func:`bvp_forcing`).  ``quadrature_weights=True`` attaches diagonal
@@ -244,17 +246,17 @@ def make_bvp(
         out = v * v
         return np.add(np.multiply(out, 3.0 * gamma, out=out), 2.0 * inv_h2, out=out)
 
-    # a point (n,) or points (k, n) as one flat row, whose row ends are then redone as
-    # 0.0 - 2 v[0] and left + 0.0: the padded formula's operations, signed zeros included
+    def padded(v: np.ndarray) -> np.ndarray:  # v between zero boundary values, on its last axis
+        pad = np.empty(v.shape[:-1] + (n + 2,), v.dtype)
+        pad[..., ::n + 1] = 0.0  # the two end columns alone: a large buffer is not cleared
+        pad[..., 1:-1] = v
+        return pad
+
+    # a point (n,) or points (k, n), u = padded(v), in place on v + v (2 v exactly) and v * v:
+    # -(((u[i-1] - 2 v[i]) + u[i+1]) * inv_h2) + gamma * (v * v * v) - f_vals
     def residual(v: np.ndarray) -> np.ndarray:
-        second = np.multiply(2.0, v, order="C")
-        left = np.empty_like(second)  # v[i-1] - 2 v[i]
-        flat_second, flat_left, flat_v = second.reshape(-1), left.reshape(-1), v.reshape(-1)
-        np.subtract(flat_v[:-1], flat_second[1:], out=flat_left[1:])
-        np.subtract(0.0, second[..., :1], out=left[..., :1])
-        np.add(flat_left[:-1], flat_v[1:], out=flat_second[:-1])
-        np.add(left[..., -1:], 0.0, out=second[..., -1:])
-        cube = v * v  # then, in place: -(second * inv_h2) + gamma * (v * v * v) - f_vals
+        u, second, cube = padded(v), v + v, v * v
+        np.add(np.subtract(u[..., :-2], second, out=second), u[..., 2:], out=second)
         np.multiply(np.multiply(cube, v, out=cube), gamma, out=cube)
         np.add(np.multiply(second, -inv_h2, out=second), cube, out=second)
         return np.subtract(second, f_vals, out=second)
@@ -266,10 +268,8 @@ def make_bvp(
         return jac
 
     def vjp_batch(V: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        neighbours, y = np.empty(Y.shape, Y.dtype), Y.reshape(-1)
-        np.add(y[:-2], y[2:], out=neighbours.reshape(-1)[1:-1])
-        np.add(0.0, Y[:, 1:2], out=neighbours[:, :1])
-        np.add(Y[:, -2:-1], 0.0, out=neighbours[:, -1:])
+        u = padded(Y)
+        neighbours = np.add(u[:, :-2], u[:, 2:])
         out = diagonal(V)
         out *= Y  # then - neighbours * inv_h2, in place
         return np.subtract(out, np.multiply(neighbours, inv_h2, out=neighbours), out=out)

@@ -335,18 +335,17 @@ def search_mu(
     check_method(problem, method)
     check_dimension(problem, ball)
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
-    if method == METHOD_CLOSED_FORM:
-        lam, x, count = float(problem.params["lambda"]), float(ball.center[0]), 0
-        c = np.full(len(grid), quadratic_domination_constant(lam, x, ball.radius))
-        with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        if method == METHOD_CLOSED_FORM:
+            lam, x, count = float(problem.params["lambda"]), float(ball.center[0]), 0
+            c = np.full(len(grid), quadratic_domination_constant(lam, x, ball.radius))
             lhs = _quadratic_lhs(lam, x, grid)
-    else:
-        cfg = sampling or SamplingConfig()
-        count = _sample_count(problem.n, cfg.samples_per_axis)
-        c = np.array(_sampled_infimum(problem, ball, cfg, grid))
-        R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
-        lhs = np.array([norm_of_residual(problem, r) for r in R])
-    with np.errstate(over="ignore", invalid="ignore"):
+        else:  # F may overflow at a centre x/mu, and its norm is then inf
+            cfg = sampling or SamplingConfig()
+            count = _sample_count(problem.n, cfg.samples_per_axis)
+            c = np.array(_sampled_infimum(problem, ball, cfg, grid))
+            R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
+            lhs = np.array([norm_of_residual(problem, r) for r in R])
         columns = [grid, c, lhs, *_verdict(ball.radius, c, lhs)]
     mus, cs, lhss, rhss, slacks, passes = [column.tolist() for column in columns]
 

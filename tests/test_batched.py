@@ -220,24 +220,29 @@ def sequential_residual_count(searches, ball, cfg):
 
 
 DESCENT_BALLS = (0.5, 3.0)  # radii around 0.3 * ones: the sphere stops descent, and a zero inside
+# at n = 32 a first block speculates max(2, 64 // 32) = 2 entries past the step accepted
+# before, and on both balls 16 later steepest searches accept a step past them, in a
+# second block
+LADDER_PROBLEMS = {**HOOKED, "bvp32": make_bvp(32, 1.0, "manufactured_sin")}
 
 
-@pytest.mark.parametrize("name", sorted(HOOKED))
+@pytest.mark.parametrize("name", sorted(LADDER_PROBLEMS))
 @pytest.mark.parametrize("policy", ["clip_to_ball", "reject_outside"])
 @pytest.mark.parametrize("direction", ["steepest", "gauss_newton"])
 def test_block_line_search_matches_the_sequential_ladder(name, policy, direction, monkeypatch):
-    p = HOOKED[name]
+    p = LADDER_PROBLEMS[name]
     cfg = DescentConfig(ball_policy=policy, direction=direction, max_iterations=60)
     line_search = descent._line_search
 
-    def recorded(problem, ball, cfg, v, d, *rest):
-        found = line_search(problem, ball, cfg, v, d, *rest)
+    def recorded(problem, ball, cfg, v, d, slope, phi_v, size):
+        found = line_search(problem, ball, cfg, v, d, slope, phi_v, size)
         searches.append((v, d, None if found is None else found[0]))
+        past_first_block.append(found is not None and found[0] >= size and len(searches) > 1)
         return found
 
     for radius in DESCENT_BALLS:
         ball = Ball(np.full(p.n, 0.3), radius)
-        calls, searches = [], []
+        calls, searches, past_first_block = [], [], []
         with np.errstate(all="ignore"):
             blocks = solve(p, ball, cfg, record_trace=True)
             with monkeypatch.context() as patched:
@@ -252,6 +257,8 @@ def test_block_line_search_matches_the_sequential_ladder(name, policy, direction
         assert set(calls) == {1}
         if policy == "clip_to_ball":
             assert len(calls) == expected
+        if name == "bvp32" and direction == "steepest":
+            assert past_first_block.count(True) == 16
 
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
@@ -297,20 +304,43 @@ def golden_case(config):
 
 
 @pytest.mark.parametrize("config, residual_calls, jacobian_calls", [
-    ("bvp16_steepest_clip.json", 297, 0),  # 293 iterations, then a stall
+    ("bvp16_steepest_clip.json", 298, 0),  # 293 iterations, then a stall
     ("bvp16_gauss_newton.json", 5, 0),  # 4 iterations
 ])
 def test_descent_evaluates_f_once_per_iterate(config, residual_calls, jacobian_calls):
     # the gradient and the Gauss-Newton step reuse the residual of the accepted trial, so
     # F is evaluated once at the centre and then once per line-search block: one block for
-    # each line search that accepts a step, three for the steepest case's stall.  The
-    # gradient comes from vjp_batch and the Gauss-Newton step from newton_solve: no Jacobian
+    # each line search that accepts a step within the 4 entries its first block speculates
+    # past the step accepted before, two for the searches 1 (0 -> 12) and 288 (20 -> 40) and
+    # for the steepest case's stall.  The gradient comes from vjp_batch and the Gauss-Newton
+    # step from newton_solve: no Jacobian
     cfg, problem, ball = golden_case(config)
     calls, jacobians = [], []
     counted = dataclasses.replace(counting(problem, calls),
                                   jacobian=lambda v: jacobians.append(1) or problem.jacobian(v))
     solve(counted, ball, cli.build_descent_config(cfg))
     assert (len(calls), len(jacobians)) == (residual_calls, jacobian_calls)
+
+
+@pytest.mark.parametrize("case, rows, blocks", [
+    ("bvp16_steepest_clip", 7180, 297),  # the golden: 293 iterations, then a stall
+    ("bvp8_steepest", 6825, 280),  # from B_0.1(sin pi t) to 1e-2 in 280 iterations
+])
+def test_line_search_trial_rows_and_blocks(case, rows, blocks):
+    # a first block holds the entries up to max(2, 64 // n) past the step accepted before,
+    # and each later block twice as many: 11 776 rows in 296 blocks and 9 182 rows in 282
+    # blocks when the first held 2a + 2 entries.  Which entries a block holds follows from
+    # the accepted steps, so every count moves with a residual's bits
+    if case == "bvp8_steepest":
+        problem = make_bvp(8, 1.0, "manufactured_sin")
+        ball = Ball(np.sin(np.pi * np.arange(1, 9) / 9), 0.1)
+        descent_config = DescentConfig(residual_tolerance=1e-2)
+    else:
+        cfg, problem, ball = golden_case(f"{case}.json")
+        descent_config = cli.build_descent_config(cfg)
+    calls = []
+    solve(counting(problem, calls), ball, descent_config)
+    assert (sum(calls[1:]), len(calls) - 1) == (rows, blocks)  # calls[0]: F at the centre
 
 
 def test_row_norms_are_the_norms_ball_contains_takes():

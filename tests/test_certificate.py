@@ -437,7 +437,7 @@ def test_probe_constant_is_at_least_the_rigorous_constant(n, weighted, draw):
 @pytest.mark.parametrize("center", [1e160, -1e200])
 def test_a_bvp_jacobian_that_overflows_at_the_centre_gives_c_zero_silently(center):
     # 3 gamma v^2 overflows on the diagonal at x/mu for every mu; the probes' SVD is never
-    # taken (||F(x/mu)||, a sweep's lhs, may warn outside the commands' errstate)
+    # taken (||F(x/mu)||, a sweep's lhs, is the test below's)
     problem, ball = make_bvp(4, 1.0, "manufactured_sin"), Ball(np.full(4, center), 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -445,6 +445,20 @@ def test_a_bvp_jacobian_that_overflows_at_the_centre_gives_c_zero_silently(cente
             c = domination_constant_sampled(problem, ball)
             swept = certificate._sampled_infimum(problem, ball, SamplingConfig(), [0.5, 1.0, 2.0])
     assert c == 0.0 and swept == [0.0] * 3
+
+
+def test_certify_and_search_mu_fail_silently_where_f_overflows_at_the_centre():
+    # F overflows at x = 1e160 * ones and at every x/mu: certify's lhs ||F(x)|| and the sweep's
+    # lhs rows F(x/mu) were taken outside any np.errstate, and the library's own calls warned
+    # "overflow encountered in multiply"; every lhs is inf, and every verdict a FAIL
+    problem, ball = make_bvp(4, 1.0, "manufactured_sin"), Ball(np.full(4, 1e160), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify(problem, ball)
+        found = search_mu(problem, ball, (0.5, 1.5), 3)
+    assert (cert.passed, cert.lhs, cert.slack) == (False, math.inf, -math.inf)
+    assert not found.any_passed and not found.certificate.passed
+    assert [(p.passed, p.lhs) for p in found.sweep] == [(False, math.inf)] * 3
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -89,8 +89,10 @@ def test_clip_to_ball_stalls_at_the_sphere_instead_of_taking_null_steps():
 
 def test_a_clipped_trial_equal_to_the_iterate_is_not_evaluated(monkeypatch):
     # the stalling line search clipped every trial back to the iterate 0.5: 54 of the
-    # 55 rows sent to residual_rows were that iterate, whose phi cannot pass.  The first
-    # search's t = 1 and t = 1/2 both clip from 0.3 to 0.5, and both are evaluated
+    # 55 rows sent to residual_rows were that iterate, whose phi cannot pass.  At n = 1 the
+    # first search's one block speculates 64 entries past the step accepted before, so it
+    # holds the whole 54-entry ladder: t = 1 and t = 1/2 both clip from 0.3 to 0.5, the
+    # other 52 trials move less, and all 54 are evaluated; the stall at 0.5 sends no row
     tried_from, rows = [], []
     line_search, original = descent._line_search, descent.residual_rows
     monkeypatch.setattr(descent, "_line_search", lambda problem, ball, cfg, v, *rest: (
@@ -99,7 +101,8 @@ def test_a_clipped_trial_equal_to_the_iterate_is_not_evaluated(monkeypatch):
         rows.extend((tried_from[-1], row) for row in V.tolist()) or original(problem, V)))
     result = solve(make_quadratic(1.0), Ball(np.array([0.3]), 0.2))
     assert (result.status, result.iterations, result.u.tolist()) == ("stalled", 1, [0.5])
-    assert [row for _, row in rows] == [[0.5], [0.5]]
+    assert [v for v, _ in rows] == [[0.3]] * len(DescentConfig().steps) == [[0.3]] * 54
+    assert [row for _, row in rows][:3] == [[0.5], [0.5], [0.3 + 0.25 * 0.546]]
     assert all(row != v for v, row in rows)
 
 
