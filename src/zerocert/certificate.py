@@ -9,7 +9,9 @@ A certificate checks two conditions on the ball B_r(x):
 When both hold, a zero of F exists inside the ball.  There is a built-in
 tension between them: growing the ball usually shrinks the largest valid c
 while the right-hand side r*c needs to stay large; the certificate records
-the slack r*c - ||F(x)|| to quantify how the conflict resolved.
+the slack r*c - ||F(x)|| to quantify how the conflict resolved.  Both
+conditions are judged by :func:`certify_columns`, for G(v) = F(v/mu) at each mu
+of a sweep; :func:`certify` is its mu = 1 case.
 
 Two estimators for c are provided: the exact closed form for the quadratic
 family, and a sampled minimum of ||grad phi|| / ||F||, scaled by a safety
@@ -29,19 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import InputShapeError, InvalidConfigurationError
-from .functional import _weighted, residual_norm
+from .functional import _weighted, norm_of_residual
 from .problems import ResidualProblem, block_rows, eval_jacobian, residual_rows, vjp_rows
 
 METHOD_CLOSED_FORM = "closed_form_quadratic"
 METHOD_SAMPLED = "sampled"
 
 PROBE_DIRECTIONS = 8  # in dimension n >= 2, probes lie along the min(8, n) weakest directions
-
-
-def check_seed(seed: int) -> None:
-    """Raise InvalidConfigurationError unless ``seed`` lies in [0, 2**32)."""
-    if not 0 <= seed < 2**32:
-        raise InvalidConfigurationError(f"seed must lie in [0, 2**32), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -169,9 +165,8 @@ def transformed_certificate_quadratic(lam: float, mu: float, x: float, r: float)
     the original problem's constant), which leaves the verdict unchanged,
     makes slacks comparable across mu, and at mu = 1 is :func:`certify`'s
     closed form: |lam*x**2 - 1| is ||F(x)||.  Only this original-scale form
-    is evaluated, and the verdict is :meth:`Certificate.judge`'s.  This is
-    the one-mu case of :func:`_quadratic_lhs`, which a sweep evaluates over
-    its whole grid at once.
+    is evaluated, and the verdict is :meth:`Certificate.judge`'s: the float
+    reference of one mu of :func:`certify_columns`' closed form.
     """
     mu = float(mu)
     if mu == 0.0:
@@ -314,6 +309,34 @@ def check_method(problem: ResidualProblem, method: str) -> None:
         )
 
 
+def certify_columns(problem: ResidualProblem, ball: Ball, method: str,
+                    sampling: SamplingConfig | None, mus: np.ndarray) -> tuple[list[list], int]:
+    """Judge ``ball`` for G(v) = F(v/mu) at each mu of the array ``mus`` (F at mu = 1.0).
+
+    Returns the columns (mu, c, lhs, rhs, slack, passed) as lists, judged by
+    :func:`_verdict`, and the points per mu (0 for the closed form).  The closed form repeats
+    :func:`quadratic_domination_constant` with lhs :func:`_quadratic_lhs`, at each mu bit for
+    bit :func:`transformed_certificate_quadratic`.  The sampled c is one pass of
+    :func:`_sampled_infimum`, and each lhs the :func:`norm_of_residual` of a row of one
+    :func:`residual_rows` call over the centres x/mu: inf, silently, where F overflows.
+    """
+    check_dimension(problem, ball)
+    check_method(problem, method)
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
+        if method == METHOD_CLOSED_FORM:
+            lam, x, count = float(problem.params["lambda"]), float(ball.center[0]), 0
+            c = np.full(len(mus), quadratic_domination_constant(lam, x, ball.radius))
+            lhs = _quadratic_lhs(lam, x, mus)
+        else:
+            cfg = sampling or SamplingConfig()
+            count = _sample_count(problem.n, cfg.samples_per_axis)
+            c = np.array(_sampled_infimum(problem, ball, cfg, mus))
+            R = np.asarray(residual_rows(problem, ball.center / mus[:, None]), dtype=float)
+            lhs = np.array([norm_of_residual(problem, r) for r in R])
+        columns = [mus, c, lhs, *_verdict(ball.radius, c, lhs)]
+    return [column.tolist() for column in columns], count
+
+
 def certify(
     problem: ResidualProblem,
     ball: Ball,
@@ -322,19 +345,11 @@ def certify(
 ) -> Certificate:
     """Check both ball conditions and report the verdict with slack.
 
-    ``method`` must pass :func:`check_method`; the closed form is
+    This is :func:`certify_columns` at mu = 1, so ``method`` must pass
+    :func:`check_method`, and the closed form is
     :func:`transformed_certificate_quadratic` at mu = 1.  The verdict follows
     :meth:`Certificate.judge`: ties lhs == rhs pass, a NaN or infinite lhs
     or c fails.
     """
-    check_dimension(problem, ball)
-    check_method(problem, method)
-    if method == METHOD_CLOSED_FORM:
-        return transformed_certificate_quadratic(problem.params["lambda"], 1.0, ball.center[0],
-                                                 ball.radius)
-    cfg = sampling or SamplingConfig()
-    c = domination_constant_sampled(problem, ball, cfg.samples_per_axis, cfg.residual_floor,
-                                    cfg.safety)
-    with np.errstate(over="ignore", invalid="ignore"):  # F may overflow at the centre: lhs inf
-        return Certificate.judge(ball, c, residual_norm(problem, ball.center), method,
-                                 _sample_count(problem.n, cfg.samples_per_axis))
+    (_, (c,), (lhs,), *_), count = certify_columns(problem, ball, method, sampling, np.ones(1))
+    return Certificate.judge(ball, c, lhs, method, count)

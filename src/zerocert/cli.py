@@ -53,12 +53,12 @@ from pathlib import Path
 import numpy as np
 
 from . import report as report_io
-from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method, check_seed
+from .certificate import METHOD_SAMPLED, Ball, SamplingConfig, certify, check_method
 from .descent import DescentConfig, solve, verify_solution
 from .exceptions import ConfigError, InvalidConfigurationError, ZerocertError
 from .functional import check_gradient, residual_norm
 from .problems import ResidualProblem, make_bvp, make_quadratic
-from .selftest import run_selftest
+from .selftest import check_seed, run_selftest
 from .transforms import (
     build_mu_grid,
     pull_back_zero,

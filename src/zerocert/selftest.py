@@ -14,8 +14,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .certificate import (Ball, check_seed, domination_constant_sampled,
-                          quadratic_domination_constant, transformed_certificate_quadratic)
+from .certificate import (Ball, domination_constant_sampled, quadratic_domination_constant,
+                          transformed_certificate_quadratic)
+from .exceptions import InvalidConfigurationError
 from .functional import check_gradient
 from .problems import ResidualProblem, make_bvp, make_quadratic
 
@@ -25,6 +26,12 @@ EQUIVALENCE_GRID = {
     "x": (-3.0, -1.0, 0.4, 1.2, 2.0),
     "r": (0.25, 0.5, 1.0),
 }
+
+
+def check_seed(seed: int) -> None:
+    """Raise InvalidConfigurationError unless ``seed`` lies in [0, 2**32)."""
+    if not 0 <= seed < 2**32:
+        raise InvalidConfigurationError(f"seed must lie in [0, 2**32), got {seed}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ Two invertible transform families rewrite F(u) = 0 in equivalent forms:
 
 The certificate conditions change under either rewrite, and the transform
 parameter is a knob: sweeping it can turn a failing certificate into a
-passing one.  :func:`search_mu` performs that sweep over mu.
+passing one.  :func:`search_mu` performs that sweep over mu, judged as columns
+by the certificate module's ``certify_columns``.
 """
 
 from __future__ import annotations
@@ -28,17 +29,10 @@ from .certificate import (
     Ball,
     Certificate,
     SamplingConfig,
-    _quadratic_lhs,
-    _sample_count,
-    _sampled_infimum,
-    _verdict,
-    check_dimension,
-    check_method,
-    quadratic_domination_constant,
+    certify_columns,
 )
 from .exceptions import InvalidConfigurationError
-from .functional import norm_of_residual
-from .problems import ResidualProblem, eval_jacobian, residual_rows
+from .problems import ResidualProblem, eval_jacobian
 
 CUBIC_INVERSE_TOL = 1e-14
 ZERO_EXCLUSION_FRACTION = 1e-3  # half-width of the mu-grid hole around 0, relative
@@ -311,44 +305,20 @@ def search_mu(
 ) -> TransformSearchResult:
     """Sweep the scaling parameter mu looking for a passing certificate.
 
-    For each grid mu the problem is rewritten as G = F o B^-1 with
-    B(v) = mu*v and certified on the given ball.  c and lhs are columns over
-    the grid, judged by the rule of :meth:`Certificate.judge`; only the best
-    entry becomes a Certificate.  The closed form takes
-    lhs = |lam*x**2 - mu**2| over the grid, at each mu bit for bit
-    :func:`transformed_certificate_quadratic`.  Otherwise every G's constant
-    comes from one pass of :func:`_sampled_infimum` over the rows v/mu, each
-    mu's points v the probes of G, from one Jacobian of F at x/mu, and every
-    lhs is the :func:`norm_of_residual` of a row of one :func:`residual_rows`
-    call over the centres x/mu; no G is built.  G's Jacobian is scaled as
-    ``recover_problem_independent``'s is, so its probes are G's own bit for
-    bit.  A row's gradient is F's divided by mu, so each entry is
-    :func:`certify` on ``recover_problem_independent(scale(mu), F)`` up to
-    the rounding of that division: bit for bit for a problem with batched
-    hooks, and for every problem when mu is a power of two.  The best entry
-    maximizes slack among passing entries (ties: least distortion |mu - 1|,
-    then smaller mu); when nothing passes the same ordering is applied to
-    all entries.
+    For each grid mu the problem is rewritten as G = F o B^-1 with B(v) = mu*v and certified
+    on the given ball by :func:`certify_columns`, whose mu = 1 case is :func:`certify`; only
+    the best entry becomes a Certificate.  No G is built: each entry is :func:`certify` on
+    ``recover_problem_independent(scale(mu), F)`` up to the rounding of F's gradient divided
+    by mu, bit for bit for a problem with batched hooks, and for every problem when mu is a
+    power of two.  The best entry maximizes slack among passing entries (ties: least
+    distortion |mu - 1|, then smaller mu); when nothing passes the same ordering is applied
+    to all entries.
     """
     if method is None:
         method = METHOD_CLOSED_FORM if problem.is_quadratic else METHOD_SAMPLED
-    check_method(problem, method)
-    check_dimension(problem, ball)
     grid, zero_exclusion = build_mu_grid(mu_range, grid_size, spacing)
-    with np.errstate(over="ignore", invalid="ignore"):  # silent, as float arithmetic is
-        if method == METHOD_CLOSED_FORM:
-            lam, x, count = float(problem.params["lambda"]), float(ball.center[0]), 0
-            c = np.full(len(grid), quadratic_domination_constant(lam, x, ball.radius))
-            lhs = _quadratic_lhs(lam, x, grid)
-        else:  # F may overflow at a centre x/mu, and its norm is then inf
-            cfg = sampling or SamplingConfig()
-            count = _sample_count(problem.n, cfg.samples_per_axis)
-            c = np.array(_sampled_infimum(problem, ball, cfg, grid))
-            R = np.asarray(residual_rows(problem, ball.center / grid[:, None]), dtype=float)
-            lhs = np.array([norm_of_residual(problem, r) for r in R])
-        columns = [grid, c, lhs, *_verdict(ball.radius, c, lhs)]
-    mus, cs, lhss, rhss, slacks, passes = [column.tolist() for column in columns]
-
+    (mus, cs, lhss, rhss, slacks, passes), count = certify_columns(problem, ball, method,
+                                                                   sampling, grid)
     pool = [i for i, passed in enumerate(passes) if passed]
     best = min(pool or range(len(mus)), key=lambda i: (-slacks[i], abs(mus[i] - 1.0), mus[i]))
     return TransformSearchResult(

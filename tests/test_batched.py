@@ -627,11 +627,13 @@ def test_newton_solve_breaks_down_to_nan_without_a_warning(gamma, v, y):
 
 @pytest.mark.parametrize("name", sorted(HOOKED))
 def test_sweep_lhs_is_each_centres_residual_norm_bit_for_bit(name):
-    # every lhs comes from one residual_rows call over the centres x/mu
+    # every lhs comes from one residual_rows call over the centres x/mu, and certify's from
+    # one over x/1.0, not from eval_residual
     p = HOOKED[name]
     ball = Ball(np.linspace(-0.7, 0.9, p.n), 0.4)
     sampling = SamplingConfig(samples_per_axis=3 if p.n > 1 else 31)
     for q in (p, per_point(p)):
+        assert certify(q, ball, "sampled", sampling).lhs == residual_norm(q, ball.center)
         found = search_mu(q, ball, (-2.5, 3.0), 9, "sampled", sampling, spacing="geometric")
         assert len(found.sweep) == 9
         for entry in found.sweep:
